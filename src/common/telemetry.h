@@ -55,13 +55,14 @@ enum class Slot : size_t {
   kServeColdStarts,       ///< counter "idxsel.serve.cold_starts"
   kServeCacheFlushes,     ///< counter "idxsel.serve.cache_flushes"
   // idxsel::shard arbiter counters (doc/sharding.md). Shard-count-dependent
-  // numbers (how many shards, how often the arbiter re-expanded a shard)
+  // numbers (how many shards, how often a shard re-proposed a misfit)
   // live HERE and in bench sidecars only — never in the selection journal,
   // which must stay byte-identical across shard and thread counts.
   kShardSelections,       ///< counter "idxsel.shard.selections"
   kShardShards,           ///< counter "idxsel.shard.shards"
   kShardArbiterRounds,    ///< counter "idxsel.shard.arbiter_rounds"
-  kShardReruns,           ///< counter "idxsel.shard.reruns"
+  kShardReruns,           ///< counter "idxsel.shard.reruns": misfit
+                          ///< re-proposals at the marginal budget
   kShardQueriesCompressed,///< counter "idxsel.shard.queries_compressed"
   kShardDirtyRebuilds,    ///< counter "idxsel.shard.dirty_rebuilds"
   kSlotCount,
@@ -254,9 +255,8 @@ inline void EmitJournal(const JournalEvent& event) {
 
 /// Mutes JournalActive()/EmitJournal() on the *constructing thread* for
 /// the scope's lifetime (re-entrant; depth-counted). The sharded selector
-/// wraps each inner per-shard H6 run in one: shards run concurrently and
-/// are re-expanded on demand, so their raw records would interleave
-/// nondeterministically and duplicate replayed prefixes — the arbiter
+/// begins each per-shard H6 session inside one: shards run concurrently,
+/// so their raw records would interleave nondeterministically — the arbiter
 /// instead emits its own canonical, shard-count-invariant records
 /// (doc/sharding.md). Suppression is thread-local so concurrent journaled
 /// strategies on other threads (portfolio lanes) are unaffected.

@@ -136,14 +136,22 @@ struct AppendScratch {
 };
 #endif
 
+}  // namespace
+
+/// Algorithm 1's construction state, driven in four steps: Begin (base
+/// costs, step-2 ranking), EvaluateRound (one round's moves under a given
+/// budget, nothing committed), CommitRound (the evaluated winner), and
+/// Finish (stop record, repair pass, result). SelectRecursive and
+/// RecursiveSession are the two drivers of this one construction loop.
 class Runner {
  public:
   Runner(WhatIfEngine& engine, const RecursiveOptions& opts)
       : engine_(engine),
         w_(engine.workload()),
         opts_(opts),
-        poller_(opts.deadline),
-        threads_(exec::ResolveThreads(opts.threads)) {
+        poller_(opts_.deadline),
+        threads_(exec::ResolveThreads(opts.threads)),
+        budget_(opts.budget) {
     if (threads_ > 1) pool_.emplace(threads_);
 #if defined(IDXSEL_KERNEL)
     // Sampled once: a mid-run kernel::SetEnabled must not flip evaluation
@@ -155,9 +163,9 @@ class Runner {
 #endif
   }
 
-  RecursiveResult Run() {
-    IDXSEL_OBS_SPAN(run_span, "selector", "h6.run");
-    Stopwatch watch;
+  /// Steps 1-2: base costs and the single-attribute ranking. False (and
+  /// nothing touched) when the deadline had already expired.
+  bool Begin() {
     // Sampled once per run: a sink installed mid-run must not make later
     // rounds journal while earlier ones did not (or vice versa), which
     // would break byte-identity between otherwise identical runs.
@@ -165,14 +173,9 @@ class Runner {
 
     // Dead-on-arrival budgets (advisor spent it all upstream) return the
     // empty — trivially feasible — incumbent without touching the engine.
-    if (opts_.deadline.expired()) {
-      RecursiveResult result;
-      result.status = Status::Timeout("recursive selector: deadline expired");
-      result.runtime_seconds = watch.ElapsedSeconds();
-      return result;
-    }
-
-    const uint64_t calls_before = engine_.stats().calls;
+    if (opts_.deadline.expired()) return false;
+    begun_ = true;
+    calls_before_ = engine_.stats().calls;
 
     best_cost_.resize(w_.num_queries());
     second_cost_.assign(w_.num_queries(),
@@ -202,100 +205,135 @@ class Runner {
     }
 
     RankSingles();
+    return true;
+  }
 
-    RecursiveResult result;
-    while (result.trace.size() < opts_.max_steps && !poller_.Expired()) {
-      IDXSEL_OBS_SPAN(round_span, "selector", "h6.round");
-      IDXSEL_OBS_ONLY(round_span.SetArg(
-          "round", static_cast<double>(result.trace.size()));)
-      Move best;
-      Move runner_up;
-      if (journal_) ResetRoundLog();
-      if (opts_.multi_index_eval) {
-        EvaluateNewSinglesMulti(&best, &runner_up);
-        EvaluateAppendsMulti(&best, &runner_up);
+  /// Whether another round may run: begun, below max_steps, deadline live.
+  bool CanContinue() {
+    return begun_ && result_.trace.size() < opts_.max_steps &&
+           !poller_.Expired();
+  }
+
+  /// Evaluates one round's moves under `budget` and keeps the winner as
+  /// the pending step; commits nothing, so it may be called again (under
+  /// another budget) before CommitRound. False when no step qualifies.
+  bool EvaluateRound(double budget) {
+    has_pending_ = false;
+    budget_ = budget;
+    best_ = Move();
+    runner_up_ = Move();
+    if (journal_) ResetRoundLog();
+    if (opts_.multi_index_eval) {
+      EvaluateNewSinglesMulti(&best_, &runner_up_);
+      EvaluateAppendsMulti(&best_, &runner_up_);
 #if defined(IDXSEL_KERNEL)
-      } else if (use_kernel_) {
-        EvaluateNewSinglesKernel(&best, &runner_up);
-        EvaluateAppendsKernel(&best, &runner_up);
-        if (opts_.pair_steps) EvaluatePairs(&best, &runner_up);
+    } else if (use_kernel_) {
+      EvaluateNewSinglesKernel(&best_, &runner_up_);
+      EvaluateAppendsKernel(&best_, &runner_up_);
+      if (opts_.pair_steps) EvaluatePairs(&best_, &runner_up_);
 #endif
-      } else {
-        EvaluateNewSingles(&best, &runner_up);
-        EvaluateAppends(&best, &runner_up);
-        if (opts_.pair_steps) EvaluatePairs(&best, &runner_up);
-      }
-      // A round cut short by the deadline saw only a prefix of the moves;
-      // committing its "best" would bias construction toward whatever the
-      // enumeration happened to visit first. Keep the pre-round incumbent.
-      if (poller_.expired()) break;
-      if (!best.valid || best.ratio <= opts_.min_ratio) {
-        stop_reason_ = best.valid ? "min-ratio" : "no-eligible-move";
-        break;
-      }
-      // Kernel-mode candidates travel as interned ids; the one committed
-      // (and the traced runner-up) are the only ones ever materialized.
-      MaterializeMove(&best);
-      MaterializeMove(&runner_up);
-      ++committed_rounds_;
-      if (best.kind == StepKind::kAppend ||
-          best.kind == StepKind::kAppendPair) {
-        ++append_steps_;
-      } else {
-        ++create_steps_;
-      }
+    } else {
+      EvaluateNewSingles(&best_, &runner_up_);
+      EvaluateAppends(&best_, &runner_up_);
+      if (opts_.pair_steps) EvaluatePairs(&best_, &runner_up_);
+    }
+    // A round cut short by the deadline saw only a prefix of the moves;
+    // committing its "best" would bias construction toward whatever the
+    // enumeration happened to visit first. Keep the pre-round incumbent.
+    if (poller_.expired()) return false;
+    if (!best_.valid || best_.ratio <= opts_.min_ratio) {
+      stop_reason_ = best_.valid ? "min-ratio" : "no-eligible-move";
+      return false;
+    }
+    // Kernel-mode candidates travel as interned ids; the one committed
+    // (and the traced runner-up) are the only ones ever materialized.
+    MaterializeMove(&best_);
+    MaterializeMove(&runner_up_);
+    pending_ = ConstructionStep();
+    pending_.kind = best_.kind;
+    if (best_.kind == StepKind::kAppend ||
+        best_.kind == StepKind::kAppendPair) {
+      pending_.before = selected_[best_.selected_pos];
+    }
+    pending_.after = best_.after;
+    pending_.objective_before = objective_ + ReconfigTotal();
+    pending_.objective_after = pending_.objective_before;
+    pending_.memory_delta = best_.memory_delta;
+    pending_.ratio = best_.ratio;
+    has_pending_ = true;
+    return true;
+  }
 
-      const double objective_before = objective_ + ReconfigTotal();
-      if (opts_.multi_index_eval) {
-        CommitMulti(best);
-      } else {
-        Commit(best);
-      }
-      const double objective_after = objective_ + ReconfigTotal();
+  const ConstructionStep& pending() const { return pending_; }
 
-#if defined(IDXSEL_AUDIT)
-      // End-of-round is the auditor's quiescent point: the pool's lanes
-      // have joined and the commit's dense-row inheritance is complete, so
-      // dense tables and hashed caches must agree exactly here. Debug
-      // builds and the sanitizer CI legs (IDXSEL_AUDIT=1 env) run this;
-      // -DIDXSEL_ENABLE_AUDIT=OFF compiles the site out.
-      if (audit::Enabled()) {
-        const audit::InvariantAuditor auditor(&engine_);
-        audit::InvariantAuditor::CheckClean(auditor.AuditAll());
-      }
-#endif
-
-      if (journal_) {
-        EmitCommitRecord(best, runner_up, objective_before, objective_after);
-        // A max-steps exit skips the next round's reset; clear here so the
-        // stop record never re-lists rejects the commit already carries.
-        ResetRoundLog();
-      }
-
-      ConstructionStep step;
-      step.kind = best.kind;
-      if (best.kind == StepKind::kAppend ||
-          best.kind == StepKind::kAppendPair) {
-        step.before = replaced_;
-      }
-      step.after = best.after;
-      step.objective_before = objective_before;
-      step.objective_after = objective_after;
-      step.memory_delta = best.memory_delta;
-      step.ratio = best.ratio;
-      result.trace.push_back(step);
-      if (runner_up.valid) {
-        ConstructionStep alt;
-        alt.kind = runner_up.kind;
-        alt.after = runner_up.after;
-        alt.memory_delta = runner_up.memory_delta;
-        alt.ratio = runner_up.ratio;
-        result.runners_up.push_back(alt);
-      }
-      if (opts_.prune_unused) PruneUnused(&result);
-      result.frontier.emplace_back(used_memory_, objective_);
+  /// Commits the pending step (EvaluateRound must have returned true).
+  void CommitRound() {
+    IDXSEL_CHECK(has_pending_);
+    has_pending_ = false;
+    ++committed_rounds_;
+    if (best_.kind == StepKind::kAppend ||
+        best_.kind == StepKind::kAppendPair) {
+      ++append_steps_;
+    } else {
+      ++create_steps_;
     }
 
+    if (opts_.multi_index_eval) {
+      CommitMulti(best_);
+    } else {
+      Commit(best_);
+    }
+    pending_.objective_after = objective_ + ReconfigTotal();
+
+#if defined(IDXSEL_AUDIT)
+    // End-of-round is the auditor's quiescent point: the pool's lanes
+    // have joined and the commit's dense-row inheritance is complete, so
+    // dense tables and hashed caches must agree exactly here. Debug
+    // builds and the sanitizer CI legs (IDXSEL_AUDIT=1 env) run this;
+    // -DIDXSEL_ENABLE_AUDIT=OFF compiles the site out.
+    if (audit::Enabled()) {
+      const audit::InvariantAuditor auditor(&engine_);
+      audit::InvariantAuditor::CheckClean(auditor.AuditAll());
+    }
+#endif
+
+    if (journal_) {
+      EmitCommitRecord(best_, runner_up_, pending_.objective_before,
+                       pending_.objective_after);
+      // A max-steps exit skips the next round's reset; clear here so the
+      // stop record never re-lists rejects the commit already carries.
+      ResetRoundLog();
+    }
+
+    result_.trace.push_back(pending_);
+    if (runner_up_.valid) {
+      ConstructionStep alt;
+      alt.kind = runner_up_.kind;
+      alt.after = runner_up_.after;
+      alt.memory_delta = runner_up_.memory_delta;
+      alt.ratio = runner_up_.ratio;
+      result_.runners_up.push_back(alt);
+    }
+    if (opts_.prune_unused) PruneUnused(&result_);
+    result_.frontier.emplace_back(used_memory_, objective_);
+  }
+
+  /// Consults the deadline now (see SharedDeadlinePoller::ExpiredNow).
+  bool PollDeadline() { return poller_.ExpiredNow(); }
+
+  size_t steps() const { return result_.trace.size(); }
+  double memory() const { return used_memory_; }
+  /// True once the deadline cut the run short (or it never began).
+  bool expired() const { return !begun_ || poller_.expired(); }
+
+  /// Ends the run: stop record, repair pass, result, published telemetry.
+  RecursiveResult Finish() {
+    RecursiveResult result = std::move(result_);
+    if (!begun_) {
+      result.status = Status::Timeout("recursive selector: deadline expired");
+      result.runtime_seconds = watch_.ElapsedSeconds();
+      return result;
+    }
     if (journal_) EmitStopRecord();
 
     // The repair pass relies on the one-index bookkeeping.
@@ -304,32 +342,49 @@ class Runner {
     for (const Index& k : selected_) result.selection.Insert(k);
     result.objective = objective_;
     result.memory = used_memory_;
-    result.runtime_seconds = watch.ElapsedSeconds();
-    result.whatif_calls = engine_.stats().calls - calls_before;
+    result.runtime_seconds = watch_.ElapsedSeconds();
+    result.whatif_calls = engine_.stats().calls - calls_before_;
     result.status =
         poller_.expired()
             ? Status::Timeout("recursive selector: deadline expired")
             : Status::Ok();
+    Publish();
 #if defined(IDXSEL_OBS)
-    const SelectorMetrics& metrics = SelectorMetrics::Get();
-    metrics.runs->Add(1);
-    metrics.rounds->Add(committed_rounds_);
-    metrics.steps_create->Add(create_steps_);
-    metrics.steps_append->Add(append_steps_);
-    metrics.steps_prune->Add(prune_steps_);
-    metrics.steps_swap->Add(swap_steps_);
-    metrics.candidate_evals->Add(candidate_evals_);
-    metrics.ratio_ties->Add(ratio_ties_);
-#if defined(IDXSEL_KERNEL)
-    metrics.kernel_filtered->Add(
-        kernel_filtered_.load(std::memory_order_relaxed));
-#endif
     if (obs::Enabled()) {
-      metrics.run_latency->Record(
+      SelectorMetrics::Get().run_latency->Record(
           static_cast<uint64_t>(result.runtime_seconds * 1e9));
     }
 #endif
     return result;
+  }
+
+  /// Adds the run telemetry accrued since the last call to the registry
+  /// (a run counts once, from Begin). Plain locals during the rounds, one
+  /// batch here, keeps the construction loop free of atomics.
+  void Publish() {
+#if defined(IDXSEL_OBS)
+    if (!begun_) return;
+    const SelectorMetrics& metrics = SelectorMetrics::Get();
+    const auto flush = [](obs::Counter* counter, uint64_t now,
+                          uint64_t* published) {
+      if (now != *published) counter->Add(now - *published);
+      *published = now;
+    };
+    flush(metrics.runs, 1, &published_.runs);
+    flush(metrics.rounds, committed_rounds_, &published_.rounds);
+    flush(metrics.steps_create, create_steps_, &published_.steps_create);
+    flush(metrics.steps_append, append_steps_, &published_.steps_append);
+    flush(metrics.steps_prune, prune_steps_, &published_.steps_prune);
+    flush(metrics.steps_swap, swap_steps_, &published_.steps_swap);
+    flush(metrics.candidate_evals, candidate_evals_,
+          &published_.candidate_evals);
+    flush(metrics.ratio_ties, ratio_ties_, &published_.ratio_ties);
+#if defined(IDXSEL_KERNEL)
+    flush(metrics.kernel_filtered,
+          kernel_filtered_.load(std::memory_order_relaxed),
+          &published_.kernel_filtered);
+#endif
+#endif
   }
 
  private:
@@ -669,7 +724,7 @@ class Runner {
       }
       return;
     }
-    if (used_memory_ + move.memory_delta > opts_.budget + kEps) {
+    if (used_memory_ + move.memory_delta > budget_ + kEps) {
       if (journal_) {
         const char* reason = std::isfinite(move.memory_delta)
                                  ? "budget-exceeded"
@@ -1619,7 +1674,7 @@ class Runner {
 
   WhatIfEngine& engine_;
   const workload::Workload& w_;
-  const RecursiveOptions& opts_;
+  const RecursiveOptions opts_;
   // Amortized view of opts_.deadline, shared by every poll site — and by
   // every parallel lane — so the latched expiry is visible across
   // evaluation/repair phases and across threads.
@@ -1630,6 +1685,19 @@ class Runner {
   // (advisor portfolio mode) and tests each get exactly the lane count
   // they asked for.
   std::optional<exec::ThreadPool> pool_;
+  /// The budget Consider() checks moves against: the current round's.
+  double budget_;
+  Stopwatch watch_;
+  bool begun_ = false;
+  uint64_t calls_before_ = 0;
+
+  // The evaluated round: winner, runner-up, and the step it would commit.
+  Move best_;
+  Move runner_up_;
+  ConstructionStep pending_;
+  bool has_pending_ = false;
+  /// Trace, runners-up, and frontier of the committed rounds.
+  RecursiveResult result_;
 
   std::vector<Index> selected_;
   // Per query: cheapest cost over {f_j(0)} + selected indexes, the position
@@ -1666,7 +1734,7 @@ class Runner {
   Index replaced_;
 
   // Journal state; only touched at serial points and only while a sink was
-  // installed when the run began (see Run()).
+  // installed when the run began (see Begin()).
   bool journal_ = false;
   const char* stop_reason_ = "max-steps";
   std::vector<RejectedMove> round_rejects_;
@@ -1675,7 +1743,7 @@ class Runner {
   uint64_t round_budget_exceeded_ = 0;
   uint64_t round_sanitized_ = 0;
 
-  // Run telemetry, published to obs::Registry in one batch (see Run()).
+  // Run telemetry, published to obs::Registry in batches (see Publish()).
   uint64_t committed_rounds_ = 0;
   uint64_t create_steps_ = 0;
   uint64_t append_steps_ = 0;
@@ -1683,14 +1751,73 @@ class Runner {
   uint64_t swap_steps_ = 0;
   uint64_t candidate_evals_ = 0;
   uint64_t ratio_ties_ = 0;
+  /// The values already added to the registry.
+  struct {
+    uint64_t runs = 0;
+    uint64_t rounds = 0;
+    uint64_t steps_create = 0;
+    uint64_t steps_append = 0;
+    uint64_t steps_prune = 0;
+    uint64_t steps_swap = 0;
+    uint64_t candidate_evals = 0;
+    uint64_t ratio_ties = 0;
+    uint64_t kernel_filtered = 0;
+  } published_;
 };
-
-}  // namespace
 
 RecursiveResult SelectRecursive(WhatIfEngine& engine,
                                 const RecursiveOptions& options) {
   Runner runner(engine, options);
-  return runner.Run();
+  IDXSEL_OBS_SPAN(run_span, "selector", "h6.run");
+  if (runner.Begin()) {
+    while (runner.CanContinue()) {
+      IDXSEL_OBS_SPAN(round_span, "selector", "h6.round");
+      IDXSEL_OBS_ONLY(round_span.SetArg(
+          "round", static_cast<double>(runner.steps()));)
+      if (!runner.EvaluateRound(options.budget)) break;
+      runner.CommitRound();
+    }
+  }
+  return runner.Finish();
+}
+
+RecursiveSession::RecursiveSession(WhatIfEngine& engine,
+                                   const RecursiveOptions& options)
+    : runner_(std::make_unique<Runner>(engine, options)) {
+  IDXSEL_OBS_SPAN(run_span, "selector", "h6.run");
+  runner_->Begin();
+  runner_->Publish();
+}
+
+RecursiveSession::~RecursiveSession() = default;
+
+const ConstructionStep* RecursiveSession::Propose(double budget) {
+  IDXSEL_OBS_SPAN(run_span, "selector", "h6.run");
+  // A session may sit idle between calls for longer than the amortized
+  // poll stride covers, so each round starts with a real deadline check.
+  const bool ok = !runner_->PollDeadline() && runner_->CanContinue() &&
+                  runner_->EvaluateRound(budget);
+  runner_->Publish();
+  return ok ? &runner_->pending() : nullptr;
+}
+
+void RecursiveSession::Accept() {
+  IDXSEL_OBS_SPAN(run_span, "selector", "h6.run");
+  runner_->CommitRound();
+  runner_->Publish();
+}
+
+double RecursiveSession::memory() const { return runner_->memory(); }
+
+Status RecursiveSession::status() const {
+  return runner_->expired()
+             ? Status::Timeout("recursive selector: deadline expired")
+             : Status::Ok();
+}
+
+RecursiveResult RecursiveSession::Finish() && {
+  IDXSEL_OBS_SPAN(run_span, "selector", "h6.run");
+  return runner_->Finish();
 }
 
 }  // namespace idxsel::core

@@ -37,6 +37,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -148,6 +149,56 @@ struct RecursiveResult {
 /// Example 1(i) — the setting of every evaluation in the paper).
 RecursiveResult SelectRecursive(WhatIfEngine& engine,
                                 const RecursiveOptions& options);
+
+class Runner;  // Algorithm 1's construction state (recursive_selector.cc)
+
+/// Algorithm 1 as a resumable object. SelectRecursive is exactly
+///
+///   RecursiveSession session(engine, options);
+///   while (session.Propose(options.budget) != nullptr) session.Accept();
+///   return std::move(session).Finish();
+///
+/// (same selection, trace, what-if calls, counters, and journal bytes;
+/// only the spans group differently), but the caller may change the
+/// budget between rounds: the sharded arbiter re-proposes a shard's round
+/// at the shard's marginal budget when other shards' commits left the
+/// proposed move no longer fitting. A smaller budget only rejects moves,
+/// so after k accepted steps Propose(b) returns step k+1 of a fresh run at
+/// b whenever b still covers memory(). Every call runs inside an "h6.run"
+/// span and publishes the idxsel.selector.* counters it accrued.
+class RecursiveSession {
+ public:
+  /// Begins the run: base costs and the step-2 single-attribute ranking.
+  /// `engine` must outlive the session. `options.budget` is only read by
+  /// Finish() (the swap-repair pass); rounds use Propose's budget.
+  RecursiveSession(WhatIfEngine& engine, const RecursiveOptions& options);
+  ~RecursiveSession();
+
+  RecursiveSession(const RecursiveSession&) = delete;
+  RecursiveSession& operator=(const RecursiveSession&) = delete;
+
+  /// Evaluates the next construction round under `budget` and returns its
+  /// winning step, committing nothing; nullptr when no step qualifies
+  /// (no eligible move, min_ratio, max_steps, or the deadline — then
+  /// status() is Timeout). The step's objective_after is only known once
+  /// accepted and equals objective_before here. Valid until the next call.
+  const ConstructionStep* Propose(double budget);
+
+  /// Commits the step the last Propose returned (which must be non-null).
+  void Accept();
+
+  /// Bytes committed so far.
+  double memory() const;
+  /// OK, or Timeout once the deadline cut the run short.
+  Status status() const;
+
+  /// Ends the run: the journal stop record, the optional repair pass, and
+  /// the result. The session is spent afterwards.
+  RecursiveResult Finish() &&;
+
+ private:
+  std::unique_ptr<Runner> runner_;
+};
 
 }  // namespace idxsel::core
 

@@ -47,6 +47,17 @@ class SharedDeadlinePoller {
     return false;
   }
 
+  /// Consults the deadline now, regardless of the stride — for poll sites
+  /// far coarser than one unit of work (a resumed session's next round).
+  bool ExpiredNow() {
+    if (expired_.load(std::memory_order_relaxed)) return true;
+    if (deadline_->expired()) {
+      expired_.store(true, std::memory_order_relaxed);
+      return true;
+    }
+    return false;
+  }
+
   /// The latched verdict without counting work; may lag the wall clock by
   /// up to one stride (same contract as rt::DeadlinePoller::expired()).
   bool expired() const { return expired_.load(std::memory_order_relaxed); }

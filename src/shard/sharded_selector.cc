@@ -1,7 +1,6 @@
 #include "shard/sharded_selector.h"
 
 #include <algorithm>
-#include <atomic>
 #include <string>
 #include <utility>
 
@@ -34,22 +33,8 @@ struct ShardedSelector::ShardState {
   std::unique_ptr<costmodel::WhatIfBackend> wrapped;
   std::unique_ptr<costmodel::WhatIfEngine> engine;
 
-  /// The cached per-shard H6 run: `run` holds the trace of a
-  /// SelectRecursive call at budget `run_budget` capped at `run_cap`
-  /// steps. Valid for answering "what is step m?" iff the budget matches
-  /// and either the trace reaches m or it stopped naturally short of the
-  /// cap (then no step m exists at this budget).
-  core::RecursiveResult run;
-  double run_budget = 0.0;
-  size_t run_cap = 0;
-  bool has_run = false;
-
   bool dirty = false;
 
-  // Monotone per-state counters (single-writer: one ParallelFor lane or
-  // the serial arbitration loop).
-  uint64_t runs = 0;
-  uint64_t reruns = 0;
   /// Backend calls of engines this state already discarded (rebuilds).
   uint64_t calls_retired = 0;
 
@@ -99,8 +84,6 @@ void ShardedSelector::RebuildShard(size_t s) {
   }
   st.engine = std::make_unique<costmodel::WhatIfEngine>(&set_.shards[s].local,
                                                         backend);
-  st.run = core::RecursiveResult();
-  st.has_run = false;
   st.dirty = false;
 }
 
@@ -109,45 +92,6 @@ void ShardedSelector::MarkDirty(workload::TableId table) {
   const uint32_t s = set_.table_shard[table];
   if (s == ShardSet::kNoShard) return;
   states_[s]->dirty = true;
-}
-
-// ---------------------------------------------------------------------------
-// Per-shard runs.
-// ---------------------------------------------------------------------------
-
-bool ShardedSelector::EnsureRun(ShardState& st, double run_budget,
-                                size_t min_steps) {
-  if (st.has_run && st.run.status.ok() &&
-      ExactlyEqual(st.run_budget, run_budget) &&
-      (st.run.trace.size() >= min_steps ||
-       st.run.trace.size() < st.run_cap)) {
-    return true;
-  }
-  if (st.has_run) ++st.reruns;
-  ++st.runs;
-  core::RecursiveOptions ropts;
-  ropts.budget = run_budget;
-  // Cap exactly at the step the arbiter needs. Deeper lookahead would be
-  // fewer re-runs, but it commits moves the global run may never reach —
-  // evaluating candidate sets (and issuing what-if calls) the unsharded
-  // run never issues. With cap == need, the union of keys the shard
-  // engines consult is EXACTLY the unsharded run's key set, so
-  // whatif_calls is invariant across shard counts; the re-runs this costs
-  // replay warm-cache prefixes (no backend work). doc/sharding.md §calls.
-  ropts.max_steps = min_steps;
-  ropts.min_ratio = options_.min_ratio;
-  ropts.max_index_width = options_.max_index_width;
-  ropts.threads = 1;
-  ropts.deadline = deadline_;
-  // Inner H6 journals are muted: shards run concurrently and re-runs
-  // replay committed prefixes, so raw records would interleave and
-  // duplicate. The arbiter emits the canonical records instead.
-  telemetry::ScopedJournalSuppress mute;
-  st.run = core::SelectRecursive(*st.engine, ropts);
-  st.run_budget = run_budget;
-  st.run_cap = min_steps;
-  st.has_run = true;
-  return st.run.status.ok();
 }
 
 // ---------------------------------------------------------------------------
@@ -167,6 +111,23 @@ bool StepBetter(const core::ConstructionStep& a, const Index& a_global,
   if (!ExactlyEqual(a.ratio, b.ratio)) return a.ratio > b.ratio;
   return a_global < b_global;
 }
+
+/// One shard's H6 session for the duration of a Select, with its pending
+/// (proposed, not yet accepted) next step.
+struct ShardRun {
+  std::unique_ptr<core::RecursiveSession> session;
+  const ShardViewBackend* view = nullptr;
+  /// The pending step, or nullptr: none proposed since the last Accept, or
+  /// the session found none (then `done` or a timeout).
+  const core::ConstructionStep* proposal = nullptr;
+  Index proposal_global;  ///< proposal->after in global ids
+  bool done = false;
+
+  void Propose(double budget) {
+    proposal = session->Propose(budget);
+    if (proposal != nullptr) proposal_global = view->ToGlobal(proposal->after);
+  }
+};
 
 void EmitShardCommit(uint64_t round, const std::string& winner, double ratio,
                      double objective_before, double objective_after,
@@ -202,7 +163,6 @@ void EmitShardStop(uint64_t round, double objective, double memory,
 
 ShardedResult ShardedSelector::Select(double budget, double cost_before,
                                       const rt::Deadline& deadline) {
-  deadline_ = deadline;
   const size_t num_shards = states_.size();
   ShardedResult out;
   out.stats.shards_used = num_shards;
@@ -224,36 +184,45 @@ ShardedResult ShardedSelector::Select(double budget, double cost_before,
   }
 
   std::vector<uint64_t> calls_before(num_shards);
-  std::vector<uint64_t> reruns_before(num_shards);
   for (size_t s = 0; s < num_shards; ++s) {
     calls_before[s] = states_[s]->calls_total();
-    reruns_before[s] = states_[s]->reruns;
     out.stats.queries_full += set_.shards[s].source_queries;
     out.stats.queries_compressed += set_.shards[s].local.num_queries();
   }
 
-  // Initial per-shard expansions, in parallel: each shard's first run
-  // carries the expensive part (base costs, single-attribute ranking,
-  // round-1 evaluation — the bulk of the backend calls). Later re-runs
-  // happen serially inside the deterministic arbitration loop, where they
-  // replay warm caches.
+  // One H6 session per shard, begun in parallel together with its first
+  // proposal: base costs, the single-attribute ranking, and round 1 carry
+  // the bulk of the backend calls. Later proposals happen serially inside
+  // the deterministic arbitration loop, on warm caches.
+  std::vector<ShardRun> runs(num_shards);
   {
+    core::RecursiveOptions ropts;
+    ropts.budget = budget;
+    ropts.min_ratio = options_.min_ratio;
+    ropts.max_index_width = options_.max_index_width;
+    ropts.threads = 1;
+    ropts.deadline = deadline;
+    auto begin = [&](size_t s) {
+      // Inner H6 journals are muted (a session samples the sink once, at
+      // construction): shards run concurrently, so raw records would
+      // interleave. The arbiter emits the canonical records instead.
+      telemetry::ScopedJournalSuppress mute;
+      ShardRun& run = runs[s];
+      run.view = states_[s]->view.get();
+      run.session = std::make_unique<core::RecursiveSession>(
+          *states_[s]->engine, ropts);
+      run.Propose(budget);
+    };
     const size_t lanes =
         std::min(exec::ResolveThreads(options_.threads), num_shards);
-    std::atomic<bool> expired{false};
-    auto prefetch = [&](size_t s) {
-      if (!EnsureRun(*states_[s], budget, 1)) {
-        expired.store(true, std::memory_order_relaxed);
-      }
-    };
     if (lanes > 1) {
       exec::ThreadPool pool(lanes);
-      pool.ParallelFor(num_shards, prefetch, 1);
+      pool.ParallelFor(num_shards, begin, 1);
     } else {
-      for (size_t s = 0; s < num_shards; ++s) prefetch(s);
+      for (size_t s = 0; s < num_shards; ++s) begin(s);
     }
-    (void)expired;  // the arbitration loop re-detects per-shard timeouts
   }
+  out.stats.shard_runs = num_shards;
 
   // -- Global mirror of the unsharded run's bookkeeping ---------------------
   // The arbiter replays each committed move's per-query cost updates
@@ -293,9 +262,7 @@ ShardedResult ShardedSelector::Select(double budget, double cost_before,
   }
   double used = 0.0;
 
-  std::vector<size_t> cursor(num_shards, 0);
   std::vector<double> committed(num_shards, 0.0);
-  std::vector<char> done(num_shards, 0);
   uint64_t rounds = 0;
   const char* stop_note = "no-eligible-move";
   bool timed_out = false;
@@ -306,63 +273,53 @@ ShardedResult ShardedSelector::Select(double budget, double cost_before,
       break;
     }
 
-    // Collect the next-move proposal of every live shard. A proposal
-    // computed under a generous budget b >= committed[s] + remaining is
-    // the true next move whenever its delta fits `remaining`: shrinking
-    // the budget only rejects moves, and a winner that survives the extra
-    // rejections is still the winner. On a misfit the shard is re-expanded
-    // at the exact marginal budget — the replayed prefix is unchanged (its
-    // moves fit by construction) and the fresh step, filtered by the
-    // re-run's own budget check, always fits. doc/sharding.md §arbiter.
+    // Collect the next-move proposal of every live shard, made under the
+    // shard's marginal budget committed[s] + remaining of that moment. It
+    // only shrinks as other shards commit, and a proposal made under a
+    // budget b >= the current marginal one is the true next move whenever
+    // its delta fits `remaining`: shrinking the budget only rejects moves,
+    // and a winner that survives the extra rejections is still the winner.
+    // On a misfit the shard re-proposes the same round at the current
+    // marginal budget — one evaluation pass over warm caches — whose own
+    // budget check makes the step fit. A shard proposes only when asked
+    // (never eagerly after Accept), so the shard engines consult exactly
+    // the unsharded run's keys. doc/sharding.md §arbiter.
     size_t best_s = num_shards;
-    const core::ConstructionStep* best_step = nullptr;
-    Index best_after_global;
-    for (size_t s = 0; s < num_shards && !timed_out; ++s) {
-      if (done[s]) continue;
-      ShardState& st = *states_[s];
-      const core::ConstructionStep* proposal = nullptr;
-      for (;;) {
-        const double want = st.has_run ? st.run_budget : budget;
-        if (!EnsureRun(st, want, cursor[s] + 1)) {
-          timed_out = true;
-          break;
-        }
-        if (st.run.trace.size() <= cursor[s]) {
-          // Exhausted under a budget >= the true marginal budget; since
-          // `remaining` only shrinks, this shard is finished for good.
-          done[s] = 1;
-          break;
-        }
-        const core::ConstructionStep& step = st.run.trace[cursor[s]];
-        if (used + step.memory_delta <= budget + kEps) {  // H6's check
-          proposal = &step;
-          break;
-        }
-        const double clamped = committed[s] + (budget - used);
-        if (ExactlyEqual(clamped, want)) {
-          // Unreachable: a run at the exact marginal budget only proposes
-          // fitting steps (its internal check is the arbiter's, shifted
-          // by committed[s]). Defensive stop rather than a spin.
-          done[s] = 1;
-          break;
-        }
-        if (!EnsureRun(st, clamped, cursor[s] + 1)) {
-          timed_out = true;
-          break;
-        }
+    for (size_t s = 0; s < num_shards; ++s) {
+      ShardRun& run = runs[s];
+      if (run.done) continue;
+      const double marginal = committed[s] + (budget - used);
+      if (run.proposal == nullptr) {
+        run.Propose(marginal);
+      } else if (used + run.proposal->memory_delta > budget + kEps) {
+        ++out.stats.reruns;  // misfit: re-propose the round at `marginal`
+        run.Propose(marginal);
       }
-      if (proposal == nullptr) continue;
-      Index after_global = st.view->ToGlobal(proposal->after);
-      if (best_step == nullptr ||
-          StepBetter(*proposal, after_global, *best_step,
-                     best_after_global)) {
+      if (run.proposal == nullptr) {
+        if (!run.session->status().ok()) {
+          timed_out = true;
+          break;
+        }
+        // No step under a budget >= the true marginal budget; since
+        // `remaining` only shrinks, this shard is finished for good.
+        run.done = true;
+        continue;
+      }
+      if (used + run.proposal->memory_delta > budget + kEps) {  // H6's check
+        // Made at the exact marginal budget, the step passed the session's
+        // check (the arbiter's, shifted by committed[s]) yet fails the
+        // arbiter's: an FP knife-edge. Stop rather than re-propose forever.
+        run.done = true;
+        continue;
+      }
+      if (best_s == num_shards ||
+          StepBetter(*run.proposal, run.proposal_global,
+                     *runs[best_s].proposal, runs[best_s].proposal_global)) {
         best_s = s;
-        best_step = proposal;
-        best_after_global = std::move(after_global);
       }
     }
     if (timed_out) break;
-    if (best_step == nullptr) break;  // every shard done
+    if (best_s == num_shards) break;  // every shard done
 
     // -- Commit: mirror core::Runner::Commit for the winning move -----------
     ShardState& st = *states_[best_s];
@@ -371,7 +328,13 @@ ShardedResult ShardedSelector::Select(double budget, double cost_before,
     costmodel::WhatIfEngine& eng = *st.engine;
     std::vector<double>& best = best_cost[best_s];
     std::vector<Index>& sel = selected[best_s];
-    const core::ConstructionStep step = *best_step;  // copy: re-runs invalidate
+    ShardRun& run = runs[best_s];
+    const core::ConstructionStep step = *run.proposal;  // Accept invalidates
+    Index after_global = std::move(run.proposal_global);
+    // The session commits first, so every value the mirror reads below is
+    // a warm cache hit in the shard engine.
+    run.session->Accept();
+    run.proposal = nullptr;
     IDXSEL_CHECK(step.kind == core::StepKind::kNewSingle ||
                  step.kind == core::StepKind::kAppend);
 
@@ -423,7 +386,6 @@ ShardedResult ShardedSelector::Select(double budget, double cost_before,
     }
     used += step.memory_delta;
     committed[best_s] += step.memory_delta;
-    ++cursor[best_s];
     ++rounds;
 
     core::ConstructionStep global_step;
@@ -431,7 +393,7 @@ ShardedResult ShardedSelector::Select(double budget, double cost_before,
     if (step.kind == core::StepKind::kAppend) {
       global_step.before = st.view->ToGlobal(step.before);
     }
-    global_step.after = std::move(best_after_global);
+    global_step.after = std::move(after_global);
     global_step.objective_before = objective_before;
     global_step.objective_after = objective;
     global_step.memory_delta = step.memory_delta;
@@ -457,8 +419,6 @@ ShardedResult ShardedSelector::Select(double budget, double cost_before,
       out.selection.Insert(states_[s]->view->ToGlobal(k));
     }
     out.whatif_calls += states_[s]->calls_total() - calls_before[s];
-    out.stats.shard_runs += states_[s]->runs;
-    out.stats.reruns += states_[s]->reruns - reruns_before[s];
     if (!states_[s]->engine->health().ok()) {
       ++out.stats.degraded_shards;
       out.degraded = true;

@@ -1,16 +1,17 @@
 // Sharded Algorithm 1 with a global budget arbiter.
 //
-// Each shard runs plain H6 (core::SelectRecursive) on its private view
-// under a *generous* budget assumption, producing a trace of candidate
-// moves; the arbiter greedily merges the shards' next-move proposals on
+// For the duration of one Select, each shard holds a core::RecursiveSession
+// (resumable plain H6) on its private view. The arbiter asks every live
+// shard for its next-move proposal, merges the proposals on
 // benefit-per-byte ratio — exactly the step criterion of the global run —
-// and commits them against the one shared budget. When the arbiter's
-// marginal budget diverges from a shard's local assumption (the proposal
-// no longer fits what is left), the shard is re-expanded at the clamped
-// budget committed_s + remaining; the re-run reproduces the already
-// consumed trace prefix bit-for-bit (smaller budgets only reject moves
-// that had already lost) and then yields the true next move. Re-runs hit
-// the shard engine's warm caches, so they cost no backend calls.
+// and commits the winner against the one shared budget: the winning
+// shard's session Accept()s it, and that shard proposes again only when
+// the arbiter next asks. A proposal is made under the shard's marginal
+// budget committed_s + remaining of that moment; if other shards' commits
+// later leave it no longer fitting, the shard re-proposes the same round
+// at the new marginal budget — one evaluation pass over the shard
+// engine's warm caches, no backend calls. Smaller budgets only reject
+// moves that had already lost, so the re-proposal is the true next move.
 //
 // Exactness: on single-table-coupled workloads (every query touches one
 // table — the model of Section II-A) the committed move sequence, the
@@ -21,20 +22,21 @@
 // and the two epsilon-boundary caveats (cross-table exact ratio ties,
 // budget knife-edge FP reassociation).
 //
-// Lazy deepening: per-shard runs are step-capped (kLookahead moves past
-// the consumed cursor) so S shards never each run to full-budget
-// completion; caps are extended on demand. Work is ~R*M/S versus the
-// global run's R*M (R rounds, M moves per round), which is why the
-// sharded path wins wall-clock even single-threaded — bench_trajectory's
-// shard ladder asserts it.
+// Work: a shard evaluates its own moves once per round it commits, plus
+// its first proposal and its misfit re-proposals — ~(R + S + misfits)*M/S
+// in total versus the global run's R*M (R rounds, M moves per round, S
+// shards), which is why the sharded path wins wall-clock even
+// single-threaded; bench_trajectory's shard ladder asserts it. Proposing
+// lazily (never right after Accept) keeps the shard engines' key set equal
+// to the unsharded run's, so what-if calls match it exactly.
 //
 // Journal discipline: inner per-shard H6 journals are suppressed
-// (telemetry::ScopedJournalSuppress) — shards run concurrently and
-// re-runs replay prefixes, so raw records would interleave and duplicate.
-// The arbiter emits its own lane ("shard"): one commit record per round
-// plus a terminal stop record, none of whose fields depend on the shard
-// or thread count. Shard-count-dependent numbers (shards used, re-runs)
-// go to idxsel.shard.* telemetry and bench sidecars only.
+// (telemetry::ScopedJournalSuppress while the sessions begin) — shards run
+// concurrently, so raw records would interleave. The arbiter emits its own
+// lane ("shard"): one commit record per round plus a terminal stop record,
+// none of whose fields depend on the shard or thread count.
+// Shard-count-dependent numbers (shards used, misfit re-proposals) go to
+// idxsel.shard.* telemetry and bench sidecars only.
 
 #ifndef IDXSEL_SHARD_SHARDED_SELECTOR_H_
 #define IDXSEL_SHARD_SHARDED_SELECTOR_H_
@@ -59,8 +61,9 @@ namespace idxsel::shard {
 struct ShardedOptions {
   /// Shard count (clamped to [1, query-bearing tables]).
   size_t shards = 1;
-  /// Lanes for the initial parallel per-shard runs (re-runs are serial —
-  /// they happen inside the deterministic arbitration loop). 1 = serial.
+  /// Lanes for beginning the per-shard sessions and their first proposals
+  /// (later proposals are serial — they happen inside the deterministic
+  /// arbitration loop). 1 = serial.
   size_t threads = 1;
   /// Global commit cap / minimal improvement ratio / index width cap —
   /// same semantics as core::RecursiveOptions.
@@ -85,8 +88,8 @@ struct ShardedOptions {
 struct ShardedStats {
   size_t shards_used = 0;
   uint64_t arbiter_rounds = 0;  ///< committed moves
-  uint64_t shard_runs = 0;      ///< SelectRecursive invocations, total
-  uint64_t reruns = 0;          ///< re-expansions (extensions + clamps)
+  uint64_t shard_runs = 0;      ///< core::RecursiveSessions this Select began
+  uint64_t reruns = 0;          ///< misfit re-proposals at the marginal budget
   uint64_t queries_full = 0;        ///< shard-local templates pre-compression
   uint64_t queries_compressed = 0;  ///< templates actually selected over
   size_t degraded_shards = 0;   ///< shards whose engine sanitized garbage
@@ -143,18 +146,11 @@ class ShardedSelector {
   struct ShardState;
 
   void RebuildShard(size_t s);
-  /// Guarantees state holds a run at exactly `run_budget` able to answer
-  /// "what is step `min_steps - 1`?" (i.e. trace long enough, or proven
-  /// exhausted). Returns false when the deadline expired mid-run.
-  bool EnsureRun(ShardState& state, double run_budget, size_t min_steps);
 
   costmodel::WhatIfEngine& engine_;
   ShardedOptions options_;
   ShardSet set_;
   std::vector<std::unique_ptr<ShardState>> states_;
-  /// The active Select() call's deadline (EnsureRun forwards it into the
-  /// per-shard runs). Set on entry to Select.
-  rt::Deadline deadline_;
 };
 
 /// One-shot convenience wrapper.

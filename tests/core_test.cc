@@ -8,9 +8,12 @@
 #include <set>
 
 #include "candidates/candidates.h"
+#include "common/deadline.h"
 #include "cophy/cophy.h"
 #include "core/recursive_selector.h"
 #include "costmodel/cost_model.h"
+#include "obs/journal.h"
+#include "workload/erp_generator.h"
 #include "workload/scalable_generator.h"
 #include "workload/tpcc.h"
 
@@ -391,6 +394,216 @@ TEST_P(RecursiveBudgetTest, MoreBudgetNeverHurtsMaterially) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RecursiveBudgetTest,
                          ::testing::Values(1, 2, 3, 5, 8));
+
+// ---------------------------------------------------------------------------
+// RecursiveSession: Algorithm 1 as a resumable object.
+// ---------------------------------------------------------------------------
+
+/// A randomized Example-1-shaped (several tables, multi-attribute queries)
+/// or ERP-shaped (many small tables, mostly point accesses) instance. Every
+/// run gets a fresh engine so what-if call counts start cold.
+struct SessionEnv {
+  workload::Workload w;
+  std::unique_ptr<CostModel> model;
+  std::unique_ptr<ModelBackend> backend;
+
+  SessionEnv(bool erp, uint64_t seed) {
+    if (erp) {
+      workload::ErpWorkloadParams params;
+      params.num_tables = 30;
+      params.total_attributes = 240;
+      params.num_queries = 150;
+      params.seed = seed;
+      w = workload::GenerateErpWorkload(params);
+    } else {
+      workload::ScalableWorkloadParams params;
+      params.num_tables = 3;
+      params.attributes_per_table = 12;
+      params.queries_per_table = 40;
+      params.seed = seed;
+      w = workload::GenerateScalableWorkload(params);
+    }
+    model = std::make_unique<CostModel>(&w);
+    backend = std::make_unique<ModelBackend>(model.get());
+  }
+
+  std::unique_ptr<WhatIfEngine> Engine() const {
+    return std::make_unique<WhatIfEngine>(&w, backend.get());
+  }
+};
+
+/// SelectRecursive's loop, driven through the public session calls.
+RecursiveResult RunSession(WhatIfEngine& engine,
+                           const RecursiveOptions& options) {
+  RecursiveSession session(engine, options);
+  while (session.Propose(options.budget) != nullptr) session.Accept();
+  return std::move(session).Finish();
+}
+
+/// Runs `run` with the journal sink installed; returns the journal bytes.
+template <typename Run>
+std::string JournalOf(const Run& run) {
+  const bool previous = obs::JournalEnabled();
+  obs::SetJournalEnabled(true);
+  obs::JournalScope scope;
+  run();
+  const std::string bytes = obs::JournalToJsonl(scope.Finish());
+  obs::SetJournalEnabled(previous);
+  return bytes;
+}
+
+void ExpectSameStep(const ConstructionStep& a, const ConstructionStep& b,
+                    const std::string& tag) {
+  EXPECT_EQ(a.kind, b.kind) << tag;
+  EXPECT_TRUE(a.before == b.before) << tag;
+  EXPECT_TRUE(a.after == b.after) << tag;
+  EXPECT_EQ(a.objective_before, b.objective_before) << tag;
+  EXPECT_EQ(a.objective_after, b.objective_after) << tag;
+  EXPECT_EQ(a.memory_delta, b.memory_delta) << tag;
+  EXPECT_EQ(a.ratio, b.ratio) << tag;
+}
+
+void ExpectSameRun(const RecursiveResult& a, const RecursiveResult& b,
+                   const std::string& tag) {
+  EXPECT_TRUE(a.status.ok()) << tag;
+  EXPECT_TRUE(b.status.ok()) << tag;
+  EXPECT_TRUE(a.selection == b.selection) << tag;
+  EXPECT_EQ(a.objective, b.objective) << tag;
+  EXPECT_EQ(a.memory, b.memory) << tag;
+  EXPECT_EQ(a.whatif_calls, b.whatif_calls) << tag;
+  ASSERT_EQ(a.trace.size(), b.trace.size()) << tag;
+  for (size_t s = 0; s < a.trace.size(); ++s) {
+    ExpectSameStep(a.trace[s], b.trace[s], tag + " step " + std::to_string(s));
+  }
+  ASSERT_EQ(a.runners_up.size(), b.runners_up.size()) << tag;
+  for (size_t s = 0; s < a.runners_up.size(); ++s) {
+    ExpectSameStep(a.runners_up[s], b.runners_up[s],
+                   tag + " runner-up " + std::to_string(s));
+  }
+  EXPECT_EQ(a.frontier, b.frontier) << tag;
+}
+
+TEST(RecursiveSessionTest, ProposeAcceptReproducesSelectRecursiveBitwise) {
+  for (bool erp : {false, true}) {
+    for (uint64_t seed : {3u, 11u, 29u}) {
+      const SessionEnv env(erp, seed);
+      for (double budget_w : {0.05, 0.3}) {
+        for (size_t threads : {1u, 4u}) {
+          const std::string tag =
+              std::string(erp ? "erp" : "example1") + " seed=" +
+              std::to_string(seed) + " w=" + std::to_string(budget_w) +
+              " threads=" + std::to_string(threads);
+          RecursiveOptions options;
+          options.budget = env.model->Budget(budget_w);
+          options.threads = threads;
+          RecursiveResult ref;
+          RecursiveResult got;
+          const std::string ref_journal = JournalOf([&] {
+            ref = SelectRecursive(*env.Engine(), options);
+          });
+          const std::string got_journal =
+              JournalOf([&] { got = RunSession(*env.Engine(), options); });
+          ASSERT_FALSE(ref.trace.empty()) << tag;
+#if defined(IDXSEL_OBS)
+          EXPECT_FALSE(ref_journal.empty()) << tag;
+#endif
+          ExpectSameRun(ref, got, tag);
+          EXPECT_EQ(ref_journal, got_journal) << tag;
+        }
+      }
+    }
+  }
+}
+
+TEST(RecursiveSessionTest, SmallerBudgetProposesTheNextStepOfAFreshRun) {
+  // The sharded arbiter's invariant: once k steps are accepted under B,
+  // proposing under any B' in [memory(), B] yields step k+1 of a fresh run
+  // at B' (or nothing when that run stops after k steps), because a
+  // smaller budget only rejects moves that already lost.
+  for (bool erp : {false, true}) {
+    const SessionEnv env(erp, 17);
+    RecursiveOptions options;
+    options.budget = env.model->Budget(0.3);
+    std::unique_ptr<WhatIfEngine> engine = env.Engine();
+    RecursiveSession session(*engine, options);
+    size_t k = 0;
+    for (;; ++k) {
+      const double used = session.memory();
+      ASSERT_LE(used, options.budget);
+      for (double frac : {0.0, 0.3, 0.8}) {
+        const double smaller = used + frac * (options.budget - used);
+        const std::string tag = std::string(erp ? "erp" : "example1") +
+                                " k=" + std::to_string(k) +
+                                " frac=" + std::to_string(frac);
+        RecursiveOptions fresh_options = options;
+        fresh_options.budget = smaller;
+        fresh_options.max_steps = k + 1;
+        const RecursiveResult fresh =
+            SelectRecursive(*env.Engine(), fresh_options);
+        const ConstructionStep* proposal = session.Propose(smaller);
+        ASSERT_GE(fresh.trace.size(), k) << tag;
+        if (fresh.trace.size() == k) {
+          EXPECT_EQ(proposal, nullptr) << tag;
+          continue;
+        }
+        ASSERT_NE(proposal, nullptr) << tag;
+        ConstructionStep expected = fresh.trace[k];
+        expected.objective_after = expected.objective_before;  // not known yet
+        ExpectSameStep(expected, *proposal, tag);
+      }
+      if (session.Propose(options.budget) == nullptr) break;
+      session.Accept();
+    }
+    ASSERT_GE(k, 3u) << "budget too small to be interesting";
+    // The extra proposals disturbed nothing: same run, same what-if calls.
+    const RecursiveResult ref = SelectRecursive(*env.Engine(), options);
+    ExpectSameRun(ref, std::move(session).Finish(), erp ? "erp" : "example1");
+  }
+}
+
+TEST(RecursiveSessionTest, DeadlineMidSessionYieldsNoProposal) {
+  const SessionEnv env(/*erp=*/true, 5);
+  rt::CancellationToken token;
+  RecursiveOptions options;
+  options.budget = env.model->Budget(0.3);
+  options.deadline.set_cancellation(&token);
+  std::unique_ptr<WhatIfEngine> engine = env.Engine();
+  RecursiveSession session(*engine, options);
+  std::vector<ConstructionStep> accepted;
+  while (accepted.size() < 3) {
+    const ConstructionStep* step = session.Propose(options.budget);
+    ASSERT_NE(step, nullptr);
+    accepted.push_back(*step);
+    session.Accept();
+  }
+  const double used = session.memory();
+  token.RequestCancel();
+  EXPECT_EQ(session.Propose(options.budget), nullptr);
+  EXPECT_EQ(session.status().code(), StatusCode::kTimeout);
+  EXPECT_EQ(session.memory(), used);
+
+  const RecursiveResult result = std::move(session).Finish();
+  EXPECT_EQ(result.status.code(), StatusCode::kTimeout);
+  ASSERT_EQ(result.trace.size(), accepted.size());
+  for (size_t s = 0; s < accepted.size(); ++s) {
+    EXPECT_TRUE(result.trace[s].after == accepted[s].after) << s;
+  }
+  EXPECT_EQ(result.memory, used);
+  EXPECT_LE(result.memory, options.budget);
+  EXPECT_NEAR(result.memory, engine->ConfigMemory(result.selection), 1e-6);
+
+  // Expired before it began: the session never touches the engine.
+  const rt::Deadline expired = rt::Deadline::After(0.0);
+  RecursiveOptions dead = options;
+  dead.deadline = expired;
+  std::unique_ptr<WhatIfEngine> cold = env.Engine();
+  RecursiveSession dead_session(*cold, dead);
+  EXPECT_EQ(dead_session.Propose(dead.budget), nullptr);
+  const RecursiveResult dead_result = std::move(dead_session).Finish();
+  EXPECT_EQ(dead_result.status.code(), StatusCode::kTimeout);
+  EXPECT_TRUE(dead_result.trace.empty());
+  EXPECT_EQ(cold->stats().calls, 0u);
+}
 
 }  // namespace
 }  // namespace idxsel::core

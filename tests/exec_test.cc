@@ -225,6 +225,19 @@ TEST(SharedDeadlineTest, StrideAmortizesClockReads) {
   for (int i = 0; i < 10000; ++i) ASSERT_FALSE(poller.Expired());
 }
 
+TEST(SharedDeadlineTest, ExpiredNowIgnoresTheStrideAndLatches) {
+  rt::CancellationToken token;
+  rt::Deadline deadline;
+  deadline.set_cancellation(&token);
+  SharedDeadlinePoller poller(deadline, /*stride=*/1024);
+  EXPECT_FALSE(poller.Expired());  // tick 0 consults the (live) deadline
+  token.RequestCancel();
+  EXPECT_FALSE(poller.Expired());  // tick 1 is a pure counter increment
+  EXPECT_TRUE(poller.ExpiredNow());
+  EXPECT_TRUE(poller.expired());
+  EXPECT_TRUE(poller.Expired());
+}
+
 TEST(HashTest, SplitMix64MixesLowBitsIntoHighBits) {
   // Sequential inputs — the adversarial case for the old multiplicative
   // chain — must produce well-spread high bytes.

@@ -6,6 +6,7 @@
 //   * SelectSharded == SelectRecursive bitwise — selection, trace values,
 //     frontier, objective, memory, and selector-level what-if call count —
 //     at every shard count and thread count (compression off).
+//   * No replay: the shard sessions commit exactly the arbiter's rounds.
 //   * Advisor-level determinism matrix: shards {1,4,16} x threads {1,4} x
 //     kernel {on,off} produce byte-identical recommendations and journal
 //     sidecars.
@@ -26,6 +27,7 @@
 #include "costmodel/what_if.h"
 #include "kernel/kernel.h"
 #include "obs/journal.h"
+#include "obs/metrics.h"
 #include "rt/fault_injection.h"
 #include "shard/partition.h"
 #include "shard/sharded_selector.h"
@@ -351,6 +353,41 @@ TEST(ShardedSelectorTest, RespectsMaxStepsAndMinRatio) {
   ExpectSameAsUnsharded(ref, got, 4, 1);
 }
 
+TEST(ShardedSelectorTest, ShardSessionsNeverReplayCommittedRounds) {
+  // One Select on a 16-shard instance: every H6 round the shard sessions
+  // commit is an arbiter commit (no shard replays its committed prefix),
+  // and the shard engines issue exactly the unsharded run's backend calls.
+  Env env(/*tables=*/24);
+  core::RecursiveOptions unsharded;
+  unsharded.budget = env.model->Budget(0.3);
+  WhatIfEngine ref_engine(&env.w, env.backend.get());
+  const core::RecursiveResult ref =
+      core::SelectRecursive(ref_engine, unsharded);
+  ASSERT_GE(ref.trace.size(), 16u) << "budget too small to be interesting";
+
+  ShardedOptions opts;
+  opts.shards = 16;
+  opts.threads = 4;
+  WhatIfEngine engine(&env.w, env.backend.get());
+  const obs::MetricsSnapshot before = obs::Registry::Default().Snapshot();
+  const ShardedResult got = shard::SelectSharded(
+      engine, opts, unsharded.budget, ref.trace[0].objective_before);
+  const obs::MetricsSnapshot delta =
+      obs::SnapshotDelta(before, obs::Registry::Default().Snapshot());
+  ExpectSameAsUnsharded(ref, got, 16, 4);
+  EXPECT_EQ(got.stats.arbiter_rounds, ref.trace.size());
+  EXPECT_EQ(got.stats.shard_runs, 16u);
+#if defined(IDXSEL_OBS)
+  const auto counter = [&](const std::string& name) -> uint64_t {
+    const auto it = delta.counters.find(name);
+    return it == delta.counters.end() ? 0 : it->second;
+  };
+  EXPECT_EQ(counter("idxsel.selector.rounds"), got.stats.arbiter_rounds);
+  EXPECT_EQ(counter("idxsel.selector.runs"), got.stats.shard_runs);
+  EXPECT_EQ(counter("idxsel.shard.reruns"), got.stats.reruns);
+#endif
+}
+
 TEST(ShardedSelectorTest, TinyBudgetAndZeroBudgetDegenerate) {
   Env env;
   // Zero budget: nothing fits; selection empty, objective = baseline.
@@ -447,7 +484,11 @@ TEST(ShardedDeterminismTest, MatrixShardsThreadsKernelByteIdentical) {
         const std::string tag = "shards=" + std::to_string(shards) +
                                 " threads=" + std::to_string(threads) +
                                 " kernel=" + (kernel_on ? "on" : "off");
+#if defined(IDXSEL_OBS)
         EXPECT_FALSE(journal.empty()) << tag;
+#else
+        EXPECT_TRUE(journal.empty()) << tag << ": obs-off journals stay empty";
+#endif
         if (!have_ref) {
           have_ref = true;
           ref = *got;
