@@ -1,13 +1,12 @@
 // Ablation — the flat cost-evaluation kernel (src/kernel/): interned
-// dense lookups vs legacy hashed lookups, posting-list mask-filter hit
-// rates, and Fig.6-sized H6 step latency with the kernel on vs off
-// (kernel::ScopedKernelEnabled), including steady-state allocation counts
-// per step from a global operator-new tally.
+// dense lookups vs hashed-cache lookups, posting-list mask-filter hit
+// rates, Fig.6-sized H6 step latency with steady-state allocation counts
+// per step from a global operator-new tally, the SIMD cost-reduction leg,
+// and the QueryMasks allocation contract.
 //
 // Emits `bench_kernel.json` (sidecar, next to the other bench CSVs) and
 // `BENCH_kernel.json` (same document; run the binary from the repo root
-// to refresh the committed copy) with p50/p95 per-step times and the
-// kernel-vs-baseline speedup.
+// to refresh the committed copy).
 
 #include <algorithm>
 #include <atomic>
@@ -28,9 +27,9 @@
 #include "obs/report.h"
 
 // ------------------------------------------------- allocation accounting
-// Counts every global allocation in the process; the H6 sections diff the
-// counter around SelectRecursive to show the kernel's steady-state step
-// loop allocates O(1) per committed step instead of O(candidates).
+// Counts every global allocation in the process; the H6 section diffs the
+// counter around SelectRecursive to show the steady-state step loop
+// allocates O(1) per committed step instead of O(candidates).
 
 namespace {
 std::atomic<uint64_t> g_allocations{0};
@@ -51,8 +50,6 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace idxsel::bench {
 namespace {
-
-#if defined(IDXSEL_KERNEL)
 
 using Clock = std::chrono::steady_clock;
 
@@ -90,7 +87,7 @@ workload::Workload Fig6Workload() {
 // ----------------------------------------- interned vs hashed lookups
 
 struct LookupResult {
-  double legacy_ns = 0.0;
+  double hashed_ns = 0.0;
   double dense_ns = 0.0;
   uint64_t lookups = 0;
 };
@@ -145,11 +142,11 @@ LookupResult LookupMicrobench(costmodel::WhatIfEngine& engine,
       std::max<uint64_t>(1, target_lookups / std::max<size_t>(1, pairs.size()));
   result.lookups = sweeps * pairs.size();
 
-  const double legacy_start = NowSeconds();
+  const double hashed_start = NowSeconds();
   for (uint64_t r = 0; r < sweeps; ++r) {
     for (const Pair& p : pairs) sink += engine.CostWithIndex(p.j, p.k);
   }
-  result.legacy_ns = (NowSeconds() - legacy_start) * 1e9 /
+  result.hashed_ns = (NowSeconds() - hashed_start) * 1e9 /
                      static_cast<double>(result.lookups);
 
   const double dense_start = NowSeconds();
@@ -186,7 +183,6 @@ struct SimdResult {
   double benefit_scalar_ns = 0.0; ///< scalar template (forced)
   double sum_ref_ns = 0.0;
   double sum_simd_ns = 0.0;
-  double sum_relaxed_ns = 0.0;    ///< opt-in reassociated shape
   uint64_t elements = 0;
 };
 
@@ -268,15 +264,10 @@ SimdResult SimdMicrobench() {
   result.sum_ref_ns = time_leg([&] { return BranchySum(row.data(), kBlock); });
   result.sum_simd_ns =
       time_leg([&] { return kernel::simd::SumSetSlots(row.data(), kBlock); });
-  {
-    kernel::simd::ScopedRelaxed relaxed(true);
-    result.sum_relaxed_ns =
-        time_leg([&] { return kernel::simd::SumSetSlots(row.data(), kBlock); });
-  }
   if (sink == -1.0) std::printf("unreachable\n");
 
-  // The exact-mode legs are not just fast, they are the *same number* as
-  // the branchy loop — recheck the contract on the bench's own data.
+  // The SIMD legs are not just fast, they are the *same number* as the
+  // branchy loop — recheck the contract on the bench's own data.
   const double ref =
       BranchyBenefit(costs.data(), qids.data(), best.data(), freq.data(),
                      kBlock);
@@ -392,15 +383,11 @@ H6Stats RunH6(costmodel::WhatIfEngine& engine, double budget, int reps) {
 // --------------------------------------------------------------- report
 
 std::string JsonDocument(const workload::Workload& w, double budget_w,
-                         const LookupResult& lookup, const H6Stats& kernel,
-                         const H6Stats& legacy, const SimdResult& simd,
+                         const LookupResult& lookup, const H6Stats& h6,
+                         const SimdResult& simd,
                          const MaskAllocResult& mask_allocs) {
-  const double steps_per_rep =
-      kernel.step_ms.empty() ? 0.0 : static_cast<double>(kernel.step_ms.size());
-  const double legacy_steps_per_rep =
-      legacy.step_ms.empty() ? 0.0 : static_cast<double>(legacy.step_ms.size());
   char buf[2048];
-  std::string out = "{\n" + SidecarHeaderJson("idxsel.bench_kernel.v1");
+  std::string out = "{\n" + SidecarHeaderJson("idxsel.bench_kernel.v2");
   std::snprintf(buf, sizeof buf,
                 "  \"workload\": {\"tables\": 2, \"attributes\": %zu, "
                 "\"queries\": %zu, \"budget_w\": %.2f},\n",
@@ -408,84 +395,63 @@ std::string JsonDocument(const workload::Workload& w, double budget_w,
   out += buf;
   std::snprintf(
       buf, sizeof buf,
-      "  \"lookup\": {\"lookups\": %llu, \"legacy_ns\": %.1f, "
+      "  \"lookup\": {\"lookups\": %llu, \"hashed_ns\": %.1f, "
       "\"dense_ns\": %.1f, \"speedup\": %.2f},\n",
-      static_cast<unsigned long long>(lookup.lookups), lookup.legacy_ns,
+      static_cast<unsigned long long>(lookup.lookups), lookup.hashed_ns,
       lookup.dense_ns,
-      lookup.dense_ns > 0.0 ? lookup.legacy_ns / lookup.dense_ns : 0.0);
+      lookup.dense_ns > 0.0 ? lookup.hashed_ns / lookup.dense_ns : 0.0);
   out += buf;
   std::snprintf(
       buf, sizeof buf,
       "  \"posting_filter\": {\"fast_path_hits\": %llu, "
       "\"fallback_lookups\": %llu, \"filtered_queries\": %llu, "
       "\"filter_rate\": %.4f},\n",
-      static_cast<unsigned long long>(kernel.fast_path_hits),
-      static_cast<unsigned long long>(kernel.fallback_lookups),
-      static_cast<unsigned long long>(kernel.filtered_queries),
-      kernel.fast_path_hits + kernel.fallback_lookups +
-                  kernel.filtered_queries >
-              0
-          ? static_cast<double>(kernel.filtered_queries) /
-                static_cast<double>(kernel.fast_path_hits +
-                                    kernel.fallback_lookups +
-                                    kernel.filtered_queries)
+      static_cast<unsigned long long>(h6.fast_path_hits),
+      static_cast<unsigned long long>(h6.fallback_lookups),
+      static_cast<unsigned long long>(h6.filtered_queries),
+      h6.fast_path_hits + h6.fallback_lookups + h6.filtered_queries > 0
+          ? static_cast<double>(h6.filtered_queries) /
+                static_cast<double>(h6.fast_path_hits + h6.fallback_lookups +
+                                    h6.filtered_queries)
           : 0.0);
   out += buf;
-  const auto h6_block = [&](const char* key, const H6Stats& s,
-                            double per_rep) {
-    std::snprintf(
-        buf, sizeof buf,
-        "  \"%s\": {\"steps\": %llu, \"whatif_calls\": %llu, "
-        "\"step_samples\": %zu, \"step_p50_ms\": %.4f, "
-        "\"step_p95_ms\": %.4f, \"step_mean_ms\": %.4f, "
-        "\"allocations_per_step\": %.1f},\n",
-        key, static_cast<unsigned long long>(s.steps),
-        static_cast<unsigned long long>(s.whatif_calls), s.step_ms.size(),
-        Percentile(s.step_ms, 0.50), Percentile(s.step_ms, 0.95),
-        Mean(s.step_ms),
-        per_rep > 0.0 ? static_cast<double>(s.allocations) / per_rep : 0.0);
-    out += buf;
-  };
-  h6_block("h6_kernel", kernel, steps_per_rep);
-  h6_block("h6_legacy", legacy, legacy_steps_per_rep);
+  std::snprintf(
+      buf, sizeof buf,
+      "  \"h6\": {\"steps\": %llu, \"whatif_calls\": %llu, "
+      "\"step_samples\": %zu, \"step_p50_ms\": %.4f, "
+      "\"step_p95_ms\": %.4f, \"step_mean_ms\": %.4f, "
+      "\"allocations_per_step\": %.1f},\n",
+      static_cast<unsigned long long>(h6.steps),
+      static_cast<unsigned long long>(h6.whatif_calls), h6.step_ms.size(),
+      Percentile(h6.step_ms, 0.50), Percentile(h6.step_ms, 0.95),
+      Mean(h6.step_ms),
+      h6.step_ms.empty() ? 0.0
+                         : static_cast<double>(h6.allocations) /
+                               static_cast<double>(h6.step_ms.size()));
+  out += buf;
   std::snprintf(
       buf, sizeof buf,
       "  \"simd\": {\"level\": \"%s\", \"elements\": %llu, "
       "\"benefit_ref_ns\": %.2f, \"benefit_simd_ns\": %.2f, "
       "\"benefit_scalar_ns\": %.2f, \"benefit_speedup\": %.2f, "
       "\"sum_ref_ns\": %.2f, \"sum_simd_ns\": %.2f, "
-      "\"sum_relaxed_ns\": %.2f, \"sum_speedup\": %.2f},\n",
+      "\"sum_speedup\": %.2f},\n",
       kernel::simd::LevelName(kernel::simd::ActiveLevel()),
       static_cast<unsigned long long>(simd.elements), simd.benefit_ref_ns,
       simd.benefit_simd_ns, simd.benefit_scalar_ns,
       simd.benefit_simd_ns > 0.0 ? simd.benefit_ref_ns / simd.benefit_simd_ns
                                  : 0.0,
-      simd.sum_ref_ns, simd.sum_simd_ns, simd.sum_relaxed_ns,
+      simd.sum_ref_ns, simd.sum_simd_ns,
       simd.sum_simd_ns > 0.0 ? simd.sum_ref_ns / simd.sum_simd_ns : 0.0);
   out += buf;
   std::snprintf(
       buf, sizeof buf,
       "  \"querymasks\": {\"small_queries\": %zu, \"small_allocs\": %llu, "
-      "\"large_queries\": %zu, \"large_allocs\": %llu},\n",
+      "\"large_queries\": %zu, \"large_allocs\": %llu}\n}\n",
       mask_allocs.small_queries,
       static_cast<unsigned long long>(mask_allocs.small_allocs),
       mask_allocs.large_queries,
       static_cast<unsigned long long>(mask_allocs.large_allocs));
-  out += buf;
-  std::snprintf(buf, sizeof buf,
-                "  \"speedup\": {\"p50\": %.2f, \"p95\": %.2f, "
-                "\"mean\": %.2f}\n}\n",
-                Percentile(kernel.step_ms, 0.50) > 0.0
-                    ? Percentile(legacy.step_ms, 0.50) /
-                          Percentile(kernel.step_ms, 0.50)
-                    : 0.0,
-                Percentile(kernel.step_ms, 0.95) > 0.0
-                    ? Percentile(legacy.step_ms, 0.95) /
-                          Percentile(kernel.step_ms, 0.95)
-                    : 0.0,
-                Mean(kernel.step_ms) > 0.0
-                    ? Mean(legacy.step_ms) / Mean(kernel.step_ms)
-                    : 0.0);
   out += buf;
   return out;
 }
@@ -512,56 +478,40 @@ void Run() {
       "%d reps (first cold, excluded).\n\n",
       w.num_attributes(), w.num_queries(), budget_w, reps);
 
-  // Interned vs hashed lookups (one warm engine, kernel on).
-  kernel::ScopedKernelEnabled enable(true);
+  // Interned vs hashed lookups (one warm engine).
   ModelSetup lookup_setup(w);
   const LookupResult lookup =
       LookupMicrobench(*lookup_setup.engine, w, target_lookups);
   std::printf(
       "warm cost lookups (%llu): hashed cache %.1f ns, dense table %.1f "
       "ns  -> %.2fx\n\n",
-      static_cast<unsigned long long>(lookup.lookups), lookup.legacy_ns,
-      lookup.dense_ns, lookup.legacy_ns / lookup.dense_ns);
+      static_cast<unsigned long long>(lookup.lookups), lookup.hashed_ns,
+      lookup.dense_ns, lookup.hashed_ns / lookup.dense_ns);
 
-  // H6 step latency, kernel on vs off, each mode on its own engine.
+  // H6 step latency on its own engine.
   const costmodel::CostModel model(&w);
   const double budget = model.Budget(budget_w);
-  ModelSetup kernel_setup(w);
-  const H6Stats kernel_stats = RunH6(*kernel_setup.engine, budget, reps);
-  H6Stats legacy_stats;
-  {
-    kernel::ScopedKernelEnabled disable(false);
-    ModelSetup legacy_setup(w);
-    legacy_stats = RunH6(*legacy_setup.engine, budget, reps);
-  }
+  ModelSetup h6_setup(w);
+  const H6Stats h6 = RunH6(*h6_setup.engine, budget, reps);
 
-  TablePrinter table({"mode", "steps", "what-if calls", "step p50 (ms)",
+  TablePrinter table({"steps", "what-if calls", "step p50 (ms)",
                       "step p95 (ms)", "step mean (ms)", "allocs/step"});
-  const auto add_row = [&](const char* mode, const H6Stats& s) {
-    const double per_rep = static_cast<double>(
-        std::max<size_t>(1, s.step_ms.size()));
-    table.AddRow({mode, FormatCount(static_cast<int64_t>(s.steps)),
-                  FormatCount(static_cast<int64_t>(s.whatif_calls)),
-                  FormatDouble(Percentile(s.step_ms, 0.50), 4),
-                  FormatDouble(Percentile(s.step_ms, 0.95), 4),
-                  FormatDouble(Mean(s.step_ms), 4),
-                  FormatDouble(static_cast<double>(s.allocations) / per_rep,
-                               1)});
-  };
-  add_row("kernel", kernel_stats);
-  add_row("legacy", legacy_stats);
+  table.AddRow({FormatCount(static_cast<int64_t>(h6.steps)),
+                FormatCount(static_cast<int64_t>(h6.whatif_calls)),
+                FormatDouble(Percentile(h6.step_ms, 0.50), 4),
+                FormatDouble(Percentile(h6.step_ms, 0.95), 4),
+                FormatDouble(Mean(h6.step_ms), 4),
+                FormatDouble(static_cast<double>(h6.allocations) /
+                                 static_cast<double>(std::max<size_t>(
+                                     1, h6.step_ms.size())),
+                             1)});
   std::printf("%s\n", table.ToString().c_str());
   std::printf(
       "posting-list filter: %llu fast-path hits, %llu fallback lookups, "
-      "%llu queries mask-filtered per run\n",
-      static_cast<unsigned long long>(kernel_stats.fast_path_hits),
-      static_cast<unsigned long long>(kernel_stats.fallback_lookups),
-      static_cast<unsigned long long>(kernel_stats.filtered_queries));
-  std::printf(
-      "speedup (legacy/kernel): p50 %.2fx, mean %.2fx  (target: >= 2x)\n\n",
-      Percentile(legacy_stats.step_ms, 0.50) /
-          Percentile(kernel_stats.step_ms, 0.50),
-      Mean(legacy_stats.step_ms) / Mean(kernel_stats.step_ms));
+      "%llu queries mask-filtered per run\n\n",
+      static_cast<unsigned long long>(h6.fast_path_hits),
+      static_cast<unsigned long long>(h6.fallback_lookups),
+      static_cast<unsigned long long>(h6.filtered_queries));
 
   // SIMD cost-reduction leg: dispatched vector reduction vs the branchy
   // serial loop it replaced, on mispredict-hostile data.
@@ -575,11 +525,11 @@ void Run() {
   std::printf(
       "simd cost reduction (%s, %llu elems): benefit %.2f -> %.2f ns/elem "
       "(%.2fx, scalar template %.2f), row sum %.2f -> %.2f ns/elem "
-      "(%.2fx, relaxed %.2f)\n",
+      "(%.2fx)\n",
       kernel::simd::LevelName(kernel::simd::ActiveLevel()),
       static_cast<unsigned long long>(simd.elements), simd.benefit_ref_ns,
       simd.benefit_simd_ns, benefit_speedup, simd.benefit_scalar_ns,
-      simd.sum_ref_ns, simd.sum_simd_ns, sum_speedup, simd.sum_relaxed_ns);
+      simd.sum_ref_ns, simd.sum_simd_ns, sum_speedup);
 
   // QueryMasks allocation contract: fixed reservation count, independent
   // of workload size.
@@ -613,21 +563,11 @@ void Run() {
     }
   }
 
-  const std::string json = JsonDocument(w, budget_w, lookup, kernel_stats,
-                                        legacy_stats, simd, mask_allocs);
+  const std::string json =
+      JsonDocument(w, budget_w, lookup, h6, simd, mask_allocs);
   WriteJson("bench_kernel.json", json);
   WriteJson("BENCH_kernel.json", json);
 }
-
-#else  // !defined(IDXSEL_KERNEL)
-
-void Run() {
-  std::printf(
-      "bench_kernel: built with -DIDXSEL_ENABLE_KERNEL=OFF; the dense "
-      "evaluation path is compiled out, nothing to compare.\n");
-}
-
-#endif  // IDXSEL_KERNEL
 
 }  // namespace
 }  // namespace idxsel::bench

@@ -33,7 +33,6 @@
 #include "advisor/advisor.h"
 #include "bench_common.h"
 #include "common/format.h"
-#include "kernel/kernel.h"
 #include "kernel/simd.h"
 #include "obs/report.h"
 #include "obs/resource.h"
@@ -233,7 +232,7 @@ ServePoint RunServe(const workload::Workload& w, double budget) {
   return point;
 }
 
-/// One serial kernel-on H6 per dispatch pin (native, then forced
+/// One serial H6 per dispatch pin (native, then forced
 /// scalar), each on a fresh engine: records the kernel counters of the
 /// native run and whether the scalar rerun was work-identical. All four
 /// fields are deterministic, so check-trajectory gates them exactly.
@@ -248,7 +247,6 @@ KernelSimdPoint RunKernelSimd(const workload::Workload& w, double budget) {
     double objective = 0.0;
   } sig[2];
   for (int pin = 0; pin < 2; ++pin) {
-    kernel::ScopedKernelEnabled kernel_on(true);
     kernel::simd::ScopedForceScalar scalar(pin == 1);
     ModelSetup setup(w);
     obs::RunScope scope("bench_trajectory.kernel_simd");

@@ -175,11 +175,11 @@ struct Recommendation {
   obs::RunReport report;
   /// Selection journal of this run: one structured decision record per
   /// committed round of every strategy lane (schema idxsel.journal.v1),
-  /// in deterministic lane order — byte-identical at any thread count,
-  /// kernel on or off. Populated in IDXSEL_OBS builds while the journal
-  /// is enabled (obs::SetJournalEnabled / IDXSEL_JOURNAL=1); empty
-  /// otherwise. Export with obs::JournalToJsonl as a *.journal.jsonl
-  /// sidecar; query with Explain().
+  /// in deterministic lane order — byte-identical at any thread count.
+  /// Populated in IDXSEL_OBS builds while the journal is enabled
+  /// (obs::SetJournalEnabled / IDXSEL_JOURNAL=1); empty otherwise.
+  /// Export with obs::JournalToJsonl as a *.journal.jsonl sidecar; query
+  /// with Explain().
   std::vector<obs::JournalRecord> journal;
 
   /// "Why was/wasn't `index` selected?" — renders the journal evidence

@@ -7,17 +7,13 @@
 #include <limits>
 
 #include "common/check.h"
-
-#if defined(IDXSEL_KERNEL)
 #include "kernel/kernel.h"
 #include "kernel/simd.h"
-#endif
 
 namespace idxsel::audit {
 
 namespace {
 
-#if defined(IDXSEL_KERNEL)
 /// Bit-identical double comparison: the dense tables and the hashed
 /// caches must hold the *same* computation's result, so even a 1-ulp
 /// difference is a coherence bug, and NaN payloads must round-trip.
@@ -131,7 +127,6 @@ void CheckBothPaths(AuditReport& report, const char* op, size_t n, double ref,
         " — SIMD-vs-scalar cross-validation is no longer bit-identical");
   }
 }
-#endif
 
 }  // namespace
 
@@ -185,8 +180,6 @@ InvariantAuditor::InvariantAuditor(const costmodel::WhatIfEngine* engine)
 
 AuditReport InvariantAuditor::AuditCostTables() const {
   AuditReport report;
-#if defined(IDXSEL_KERNEL)
-  if (!engine_->DenseActive()) return report;
   const kernel::IndexArena& arena = engine_->arena();
   const workload::Workload& w = engine_->workload();
   const size_t n = arena.size();
@@ -239,14 +232,11 @@ AuditReport InvariantAuditor::AuditCostTables() const {
       }
     }
   }
-#endif
   return report;
 }
 
 AuditReport InvariantAuditor::AuditArenaMasks() const {
   AuditReport report;
-#if defined(IDXSEL_KERNEL)
-  if (!engine_->DenseActive()) return report;
   const kernel::IndexArena& arena = engine_->arena();
   const size_t n = arena.size();
   for (kernel::IndexId id = 0; id < n; ++id) {
@@ -281,7 +271,6 @@ AuditReport InvariantAuditor::AuditArenaMasks() const {
       }
     }
   }
-#endif
   return report;
 }
 
@@ -314,15 +303,11 @@ AuditReport InvariantAuditor::AuditPostingLists() const {
 
 AuditReport InvariantAuditor::AuditSimd() const {
   AuditReport report;
-#if defined(IDXSEL_KERNEL)
   namespace simd = kernel::simd;
-  // The contract under audit is the default exact mode; relaxed
-  // reassociation is out of scope and pinned off for the pass. The pass
-  // also deliberately runs both template instantiations regardless of a
-  // process-level IDXSEL_FORCE_SCALAR pin — on a host without AVX2 both
+  // The pass deliberately runs both template instantiations regardless of
+  // a process-level IDXSEL_FORCE_SCALAR pin — on a host without AVX2 both
   // runs hit the scalar template and the cross-check degenerates to
   // scalar-vs-reference, which is still worth proving.
-  const simd::ScopedRelaxed exact(false);
 
   // -- Synthetic blocks: deterministic values, random-looking NaN
   // patterns and mixed-sign gains, sizes straddling the 4-lane block
@@ -446,81 +431,78 @@ AuditReport InvariantAuditor::AuditSimd() const {
   // and the workload's real posting-order masks, so the ops are also
   // proven on the exact shapes (lengths, NaN layouts, mask mixes) this
   // selection actually produced.
-  if (engine_->DenseActive()) {
-    const kernel::IndexArena& arena = engine_->arena();
-    const workload::Workload& w = engine_->workload();
-    const kernel::QueryMasks qmasks(w);
-    const size_t num_ids = arena.size();
-    for (kernel::IndexId id = 0; id < num_ids; ++id) {
-      ++report.ids_checked;
-      const workload::AttributeId lead = arena.leading(id);
-      const auto& posting = w.queries_with(lead);
-      const size_t n = posting.size();
-      row.resize(n);
-      slots.clear();
-      for (uint32_t slot = 0; slot < n; ++slot) {
-        row[slot] = engine_->PeekDenseCost(id, slot);
-        if (!std::isnan(row[slot])) slots.push_back(slot);
-      }
-      CheckBothPaths(report, "SumSetSlots[dense row]", n,
-                     RefSumSetSlots(row.data(), n),
-                     [&] { return simd::SumSetSlots(row.data(), n); });
-      CheckBothPaths(report, "MinSetSlots[dense row]", n,
-                     RefMinSetSlots(row.data(), n),
-                     [&] { return simd::MinSetSlots(row.data(), n); });
+  const kernel::IndexArena& arena = engine_->arena();
+  const workload::Workload& w = engine_->workload();
+  const kernel::QueryMasks qmasks(w);
+  const size_t num_ids = arena.size();
+  for (kernel::IndexId id = 0; id < num_ids; ++id) {
+    ++report.ids_checked;
+    const workload::AttributeId lead = arena.leading(id);
+    const auto& posting = w.queries_with(lead);
+    const size_t n = posting.size();
+    row.resize(n);
+    slots.clear();
+    for (uint32_t slot = 0; slot < n; ++slot) {
+      row[slot] = engine_->PeekDenseCost(id, slot);
+      if (!std::isnan(row[slot])) slots.push_back(slot);
+    }
+    CheckBothPaths(report, "SumSetSlots[dense row]", n,
+                   RefSumSetSlots(row.data(), n),
+                   [&] { return simd::SumSetSlots(row.data(), n); });
+    CheckBothPaths(report, "MinSetSlots[dense row]", n,
+                   RefMinSetSlots(row.data(), n),
+                   [&] { return simd::MinSetSlots(row.data(), n); });
 
-      kept_ref.resize(n);
-      kept_got.resize(n);
-      const size_t ref_count = RefFilterMasks(qmasks.posting_masks(lead), n,
-                                              arena.mask(id), kept_ref.data());
-      for (int pin = 1; pin >= 0; --pin) {
-        const simd::ScopedForceScalar scoped(pin == 1);
-        const size_t got = simd::FilterMasks(qmasks.posting_masks(lead), n,
-                                             arena.mask(id), kept_got.data());
-        ++report.slots_checked;
-        if (got != ref_count ||
-            !std::equal(kept_ref.begin(),
-                        kept_ref.begin() + static_cast<ptrdiff_t>(ref_count),
-                        kept_got.begin())) {
-          report.AddViolation(
-              "FilterMasks over live posting masks (id=" + std::to_string(id) +
-              ", " + simd::LevelName(simd::ActiveLevel()) +
-              ") diverged from the serial filter");
-        }
+    kept_ref.resize(n);
+    kept_got.resize(n);
+    const size_t ref_count = RefFilterMasks(qmasks.posting_masks(lead), n,
+                                            arena.mask(id), kept_ref.data());
+    for (int pin = 1; pin >= 0; --pin) {
+      const simd::ScopedForceScalar scoped(pin == 1);
+      const size_t got = simd::FilterMasks(qmasks.posting_masks(lead), n,
+                                           arena.mask(id), kept_got.data());
+      ++report.slots_checked;
+      if (got != ref_count ||
+          !std::equal(kept_ref.begin(),
+                      kept_ref.begin() + static_cast<ptrdiff_t>(ref_count),
+                      kept_got.begin())) {
+        report.AddViolation(
+            "FilterMasks over live posting masks (id=" + std::to_string(id) +
+            ", " + simd::LevelName(simd::ActiveLevel()) +
+            ") diverged from the serial filter");
       }
+    }
 
-      // A gather restricted to the set slots must come back warm with
-      // every value bit-identical to the one-at-a-time peeks.
-      gathered.resize(slots.size());
-      for (int pin = 1; pin >= 0; --pin) {
-        const simd::ScopedForceScalar scoped(pin == 1);
-        const bool warm = simd::GatherRowWarm(row.data(), slots.data(),
-                                              slots.size(), gathered.data());
-        ++report.slots_checked;
-        if (!warm) {
+    // A gather restricted to the set slots must come back warm with
+    // every value bit-identical to the one-at-a-time peeks.
+    gathered.resize(slots.size());
+    for (int pin = 1; pin >= 0; --pin) {
+      const simd::ScopedForceScalar scoped(pin == 1);
+      const bool warm = simd::GatherRowWarm(row.data(), slots.data(),
+                                            slots.size(), gathered.data());
+      ++report.slots_checked;
+      if (!warm) {
+        report.AddViolation(
+            "GatherRowWarm over the set slots of dense row id=" +
+            std::to_string(id) + " (" +
+            simd::LevelName(simd::ActiveLevel()) +
+            ") reported cold — the NaN screen disagrees with the "
+            "serial isnan scan that chose the slots");
+        continue;
+      }
+      for (size_t t = 0; t < slots.size(); ++t) {
+        if (!SameBits(gathered[t], row[slots[t]])) {
           report.AddViolation(
-              "GatherRowWarm over the set slots of dense row id=" +
-              std::to_string(id) + " (" +
-              simd::LevelName(simd::ActiveLevel()) +
-              ") reported cold — the NaN screen disagrees with the "
-              "serial isnan scan that chose the slots");
-          continue;
-        }
-        for (size_t t = 0; t < slots.size(); ++t) {
-          if (!SameBits(gathered[t], row[slots[t]])) {
-            report.AddViolation(
-                "GatherRowWarm over dense row id=" + std::to_string(id) +
-                " (" + simd::LevelName(simd::ActiveLevel()) + ") slot " +
-                std::to_string(slots[t]) + " gathered " +
-                BitsHex(gathered[t]) + " instead of " +
-                BitsHex(row[slots[t]]));
-            break;
-          }
+              "GatherRowWarm over dense row id=" + std::to_string(id) +
+              " (" + simd::LevelName(simd::ActiveLevel()) + ") slot " +
+              std::to_string(slots[t]) + " gathered " +
+              BitsHex(gathered[t]) + " instead of " +
+              BitsHex(row[slots[t]]));
+          break;
         }
       }
     }
   }
-#endif
   return report;
 }
 

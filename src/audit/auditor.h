@@ -22,8 +22,7 @@
 //                      path, the scalar template, and an independently
 //                      written serial reference — over deterministic
 //                      synthetic blocks and over the live dense rows /
-//                      query masks (default exact mode; relaxed mode is
-//                      pinned off for the duration of the pass)
+//                      query masks
 //
 // Cost: one pass over the dense tables and postings, read-only peeks only
 // (never computes, never touches stats), so an audit pass cannot perturb
@@ -120,9 +119,7 @@ class InvariantAuditor {
   AuditReport AuditPostingLists() const;
   AuditReport AuditSimd() const;
 
-  /// Every pass (cost tables, arena masks, and the live-row half of the
-  /// SIMD cross-validation only when the dense kernel state is active),
-  /// merged.
+  /// Every pass (cost tables, arena masks, posting lists, SIMD), merged.
   AuditReport AuditAll() const;
 
   /// Aborts with every retained violation on stderr when the report is

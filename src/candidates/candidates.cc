@@ -203,22 +203,15 @@ CandidateSet SkylineFilter(const CandidateSet& candidates,
     double cost;
     uint32_t candidate;
   };
-#if defined(IDXSEL_KERNEL)
-  // Dense fast path: candidates interned once; queries are visited in
-  // ascending order, so a per-candidate cursor over its posting list is
-  // the dense row slot of every (j, c) pair this sweep prices. Values and
-  // engine accounting match the keyed lookups below exactly.
-  const bool dense = engine.DenseActive();
+  // Candidates are interned once; queries are visited in ascending order,
+  // so a per-candidate cursor over its posting list is the dense row slot
+  // of every (j, c) pair this sweep prices.
   std::vector<kernel::IndexId> ids;
-  std::vector<uint32_t> cursor;
-  if (dense) {
-    ids.reserve(candidates.size());
-    for (uint32_t c = 0; c < candidates.size(); ++c) {
-      ids.push_back(engine.InternIndex(candidates[c]));
-    }
-    cursor.assign(candidates.size(), 0);
+  ids.reserve(candidates.size());
+  for (uint32_t c = 0; c < candidates.size(); ++c) {
+    ids.push_back(engine.InternIndex(candidates[c]));
   }
-#endif
+  std::vector<uint32_t> cursor(candidates.size(), 0);
   for (QueryId j = 0; j < workload.num_queries(); ++j) {
     // A half-swept skyline cannot tell "dominated" from "never examined";
     // degrade to the identity filter instead of dropping unjudged
@@ -227,16 +220,9 @@ CandidateSet SkylineFilter(const CandidateSet& candidates,
     std::vector<Entry> entries;
     entries.reserve(applicability[j].size());
     for (uint32_t c : applicability[j]) {
-#if defined(IDXSEL_KERNEL)
-      if (dense) {
-        const double memory = engine.IndexMemoryDense(ids[c]);
-        entries.push_back(Entry{
-            memory, engine.CostWithIndexDense(j, ids[c], cursor[c]++), c});
-        continue;
-      }
-#endif
-      entries.push_back(Entry{engine.IndexMemory(candidates[c]),
-                              engine.CostWithIndex(j, candidates[c]), c});
+      const double memory = engine.IndexMemoryDense(ids[c]);
+      entries.push_back(Entry{
+          memory, engine.CostWithIndexDense(j, ids[c], cursor[c]++), c});
     }
     // Skyline sweep: ascending memory, keep strictly improving cost.
     std::sort(entries.begin(), entries.end(), [](const Entry& x,

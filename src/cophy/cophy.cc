@@ -58,28 +58,15 @@ mip::Problem BuildProblem(WhatIfEngine& engine, const CandidateSet& candidates,
     }
     const auto& posting = workload.queries_with(k.leading());
     problem.candidate_costs[c].reserve(posting.size());
-#if defined(IDXSEL_KERNEL)
-    if (engine.DenseActive()) {
-      // Same values and engine accounting as the keyed loop below; the
-      // posting-list position doubles as the dense row slot, so repeated
-      // builds (budget sweeps, PreparedCophy) price hash-free.
-      const kernel::IndexId id = engine.InternIndex(k);
-      problem.candidate_memory[c] = engine.IndexMemoryDense(id);
-      penalties[c] = engine.MaintenancePenaltyDense(id);
-      any_penalty = any_penalty || penalties[c] > 0.0;
-      for (uint32_t s = 0; s < posting.size(); ++s) {
-        problem.candidate_costs[c].push_back(mip::QueryCost{
-            posting[s], engine.CostWithIndexDense(posting[s], id, s)});
-      }
-      continue;
-    }
-#endif
-    problem.candidate_memory[c] = engine.IndexMemory(k);
-    penalties[c] = engine.MaintenancePenalty(k);
+    // The posting-list position doubles as the dense row slot, so
+    // repeated builds (budget sweeps, PreparedCophy) price hash-free.
+    const kernel::IndexId id = engine.InternIndex(k);
+    problem.candidate_memory[c] = engine.IndexMemoryDense(id);
+    penalties[c] = engine.MaintenancePenaltyDense(id);
     any_penalty = any_penalty || penalties[c] > 0.0;
-    for (workload::QueryId j : posting) {
-      problem.candidate_costs[c].push_back(
-          mip::QueryCost{j, engine.CostWithIndex(j, k)});
+    for (uint32_t s = 0; s < posting.size(); ++s) {
+      problem.candidate_costs[c].push_back(mip::QueryCost{
+          posting[s], engine.CostWithIndexDense(posting[s], id, s)});
     }
   }
   if (any_penalty) problem.candidate_penalty = std::move(penalties);

@@ -13,11 +13,8 @@
 #include "common/telemetry.h"
 #include "exec/shared_deadline.h"
 #include "exec/thread_pool.h"
-#include "obs/obs.h"
-
-#if defined(IDXSEL_KERNEL)
 #include "kernel/simd.h"
-#endif
+#include "obs/obs.h"
 
 namespace idxsel::core {
 namespace {
@@ -38,11 +35,9 @@ struct SelectorMetrics {
   obs::Counter* candidate_evals;
   obs::Counter* ratio_ties;
   obs::Histogram* run_latency;
-#if defined(IDXSEL_KERNEL)
   /// Queries rejected by the 64-bit mask full-cover filter before any
   /// per-query work — the kernel's "posting-list-filtered" volume.
   obs::Counter* kernel_filtered;
-#endif
 
   static const SelectorMetrics& Get() {
     static const SelectorMetrics metrics = [] {
@@ -59,10 +54,8 @@ struct SelectorMetrics {
       m.ratio_ties = registry.GetCounter("idxsel.selector.ratio_ties");
       m.run_latency =
           registry.GetHistogram("idxsel.selector.run_latency_ns");
-#if defined(IDXSEL_KERNEL)
       m.kernel_filtered =
           registry.GetCounter("idxsel.kernel.filtered_queries");
-#endif
       return m;
     }();
     return metrics;
@@ -70,26 +63,22 @@ struct SelectorMetrics {
 };
 #endif
 
+namespace kernel = idxsel::kernel;
+
 /// A candidate elementary move under evaluation.
 struct Move {
   StepKind kind = StepKind::kNewSingle;
   size_t selected_pos = 0;  ///< For appends: position in the selection.
-  Index after;              ///< Resulting index (kernel mode: filled lazily
-                            ///< by MaterializeMove for best/runner-up only).
-#if defined(IDXSEL_KERNEL)
-  /// Interned id of `after`. In a kernel-mode round every candidate carries
-  /// one (tie-breaks then compare tuples through the arena, no Index
-  /// needed); in legacy rounds none does.
+  /// Interned id of the resulting index. Every candidate carries one, so
+  /// tie-breaks compare tuples through the arena with no Index needed.
   kernel::IndexId after_id = kernel::kInvalidIndexId;
-#endif
+  Index after;              ///< Resulting index; MaterializeMove fills it
+                            ///< for the best/runner-up only.
   double benefit = 0.0;     ///< (F+R) reduction; > 0 for eligible moves.
   double memory_delta = 0.0;
   double ratio = -std::numeric_limits<double>::infinity();
   bool valid = false;
 };
-
-#if defined(IDXSEL_KERNEL)
-namespace kernel = idxsel::kernel;
 
 /// Per-attribute scratch of one append-evaluation unit: benefit
 /// accumulator, interned extension id, and an epoch stamp that makes
@@ -134,7 +123,6 @@ struct AppendScratch {
     return scratch;
   }
 };
-#endif
 
 }  // namespace
 
@@ -153,14 +141,6 @@ class Runner {
         threads_(exec::ResolveThreads(opts.threads)),
         budget_(opts.budget) {
     if (threads_ > 1) pool_.emplace(threads_);
-#if defined(IDXSEL_KERNEL)
-    // Sampled once: a mid-run kernel::SetEnabled must not flip evaluation
-    // modes between rounds. Reconfiguration deltas need materialized
-    // indexes per candidate and Remark-2 evaluation re-costs whole
-    // configurations, so both run the legacy paths.
-    use_kernel_ = engine.DenseActive() && opts.reconfiguration == nullptr &&
-                  !opts.multi_index_eval;
-#endif
   }
 
   /// Steps 1-2: base costs and the single-attribute ranking. False (and
@@ -187,17 +167,13 @@ class Runner {
     for (workload::QueryId j = 0; j < w_.num_queries(); ++j) {
       freq_[j] = w_.query(j).frequency;
     }
-#if defined(IDXSEL_KERNEL)
-    if (use_kernel_) {
-      // Intern every single-attribute index up front: ids become
-      // deterministic, and the parallel single-ranking lanes never contend
-      // on the arena lock.
-      single_ids_.resize(w_.num_attributes());
-      for (workload::AttributeId i = 0; i < w_.num_attributes(); ++i) {
-        single_ids_[i] = engine_.arena().Intern(&i, 1);
-      }
+    // Intern every single-attribute index up front: ids become
+    // deterministic, and the parallel single-ranking lanes never contend
+    // on the arena lock.
+    single_ids_.resize(w_.num_attributes());
+    for (workload::AttributeId i = 0; i < w_.num_attributes(); ++i) {
+      single_ids_[i] = engine_.arena().Intern(&i, 1);
     }
-#endif
     objective_ = 0.0;
     for (workload::QueryId j = 0; j < w_.num_queries(); ++j) {
       best_cost_[j] = engine_.BaseCost(j);
@@ -226,12 +202,6 @@ class Runner {
     if (opts_.multi_index_eval) {
       EvaluateNewSinglesMulti(&best_, &runner_up_);
       EvaluateAppendsMulti(&best_, &runner_up_);
-#if defined(IDXSEL_KERNEL)
-    } else if (use_kernel_) {
-      EvaluateNewSinglesKernel(&best_, &runner_up_);
-      EvaluateAppendsKernel(&best_, &runner_up_);
-      if (opts_.pair_steps) EvaluatePairs(&best_, &runner_up_);
-#endif
     } else {
       EvaluateNewSingles(&best_, &runner_up_);
       EvaluateAppends(&best_, &runner_up_);
@@ -245,8 +215,8 @@ class Runner {
       stop_reason_ = best_.valid ? "min-ratio" : "no-eligible-move";
       return false;
     }
-    // Kernel-mode candidates travel as interned ids; the one committed
-    // (and the traced runner-up) are the only ones ever materialized.
+    // Candidates travel as interned ids; the one committed (and the
+    // traced runner-up) are the only ones ever materialized.
     MaterializeMove(&best_);
     MaterializeMove(&runner_up_);
     pending_ = ConstructionStep();
@@ -379,11 +349,9 @@ class Runner {
     flush(metrics.candidate_evals, candidate_evals_,
           &published_.candidate_evals);
     flush(metrics.ratio_ties, ratio_ties_, &published_.ratio_ties);
-#if defined(IDXSEL_KERNEL)
     flush(metrics.kernel_filtered,
           kernel_filtered_.load(std::memory_order_relaxed),
           &published_.kernel_filtered);
-#endif
 #endif
   }
 
@@ -394,8 +362,7 @@ class Runner {
   // through obs directly, and only at serial points — Consider() and the
   // commit block run single-threaded in both the serial and the parallel
   // evaluation paths, so the journal is byte-identical at any thread
-  // count, kernel on or off (kernel-mode moves carry bit-identical values
-  // and materialize to the same labels).
+  // count.
 
   /// Listed rejected moves per round; everything beyond is only counted.
   static constexpr size_t kJournalRejectCap = 32;
@@ -424,15 +391,12 @@ class Runner {
     }
   }
 
-  /// Canonical label of a move's resulting index; kernel-mode moves that
-  /// were never materialized resolve through the (const, stats-free)
-  /// arena lookup.
+  /// Canonical label of a move's resulting index; moves that were never
+  /// materialized resolve through the (const, stats-free) arena lookup.
   std::string MoveLabel(const Move& move) const {
-#if defined(IDXSEL_KERNEL)
-    if (move.after.empty() && move.after_id != kernel::kInvalidIndexId) {
+    if (move.after.empty()) {
       return engine_.MaterializeIndex(move.after_id).ToString();
     }
-#endif
     return move.after.ToString();
   }
 
@@ -580,17 +544,28 @@ class Runner {
     return opts_.existing != nullptr && opts_.existing->Contains(k);
   }
 
-  /// R-delta of adding `added` (and removing `removed` if non-empty).
-  double ReconfigDelta(const Index* removed, const Index& added) const {
+  /// R-delta of adding `added` and, unless kInvalidIndexId, removing
+  /// `removed` (eq. 3). Both are materialized only when a model is set.
+  double ReconfigDelta(kernel::IndexId removed, kernel::IndexId added) const {
     if (opts_.reconfiguration == nullptr) return 0.0;
+    const costmodel::ReconfigurationModel& model = *opts_.reconfiguration;
     double delta = 0.0;
-    if (!InExisting(added)) delta += opts_.reconfiguration->CreateCost(added);
-    if (removed != nullptr) {
-      if (!InExisting(*removed)) {
-        delta -= opts_.reconfiguration->CreateCost(*removed);
+    // Creating an index of I-bar no longer drops it; anything else is built.
+    const Index k_added = engine_.MaterializeIndex(added);
+    if (InExisting(k_added)) {
+      delta -= model.drop_cost();
+    } else {
+      delta += model.CreateCost(k_added);
+    }
+    if (removed != kernel::kInvalidIndexId) {
+      // A replaced index of I-bar must now be dropped (it enters
+      // I-bar \ I); any other replaced index is no longer built.
+      const Index k_removed = engine_.MaterializeIndex(removed);
+      if (InExisting(k_removed)) {
+        delta += model.drop_cost();
+      } else {
+        delta -= model.CreateCost(k_removed);
       }
-      // A replaced index that pre-exists must now be dropped; it enters
-      // I-bar \ I. (Dropping costs are part of ReconfigurationParams.)
     }
     return delta;
   }
@@ -628,31 +603,6 @@ class Runner {
     }
   }
 
-  /// Recomputes best/second-best/owner for query j from scratch (base cost
-  /// plus every applicable selected index); O(|selection|) engine cache
-  /// hits. Used for queries affected by a replacement.
-  void RecomputeQuery(workload::QueryId j) {
-    const double old_best = best_cost_[j];
-    double b1 = engine_.BaseCost(j);
-    double b2 = std::numeric_limits<double>::infinity();
-    size_t owner = kNoOwner;
-    for (size_t p = 0; p < selected_.size(); ++p) {
-      if (!engine_.Applicable(j, selected_[p])) continue;
-      const double c = engine_.CostWithIndex(j, selected_[p]);
-      if (c < b1) {
-        b2 = b1;
-        b1 = c;
-        owner = p;
-      } else if (c < b2) {
-        b2 = c;
-      }
-    }
-    best_cost_[j] = b1;
-    second_cost_[j] = b2;
-    best_owner_[j] = owner;
-    objective_ += w_.query(j).frequency * (b1 - old_best);
-  }
-
   /// Cached per-attribute f_j({i}) cost arrays, SoA-aligned with the
   /// posting list w_.queries_with(i) (element s belongs to posting[s]);
   /// the engine is consulted once per pair, every later step reads the
@@ -663,22 +613,11 @@ class Runner {
       auto& list = single_costs_[i];
       const auto& posting = w_.queries_with(i);
       list.reserve(posting.size());
-#if defined(IDXSEL_KERNEL)
-      if (use_kernel_) {
-        // Same values, same engine accounting as the keyed loop below (the
-        // dense path falls back to it per slot); warming here also fills
-        // {i}'s dense row, which every later step reads hash-free.
-        const kernel::IndexId id = single_ids_[i];
-        for (uint32_t s = 0; s < posting.size(); ++s) {
-          list.push_back(
-              engine_.CostWithIndexDense(posting[s], id, s));
-        }
-        return list;
-      }
-#endif
-      const Index k(i);
-      for (workload::QueryId j : posting) {
-        list.push_back(engine_.CostWithIndex(j, k));
+      // Warming here also fills {i}'s dense row, which every later step
+      // reads hash-free.
+      const kernel::IndexId id = single_ids_[i];
+      for (uint32_t s = 0; s < posting.size(); ++s) {
+        list.push_back(engine_.CostWithIndexDense(posting[s], id, s));
       }
     }
     return single_costs_[i];
@@ -692,20 +631,12 @@ class Runner {
   }
 
   /// Strict "a beats b" order on candidate moves: ratio, then the
-  /// deterministic lexicographic tuple tie-break. Kernel-mode rounds
-  /// compare through the arena (every move carries an id, no Index value
-  /// exists yet); arena order and Index::operator< are both plain
-  /// lexicographic comparison of the attribute tuples, so the two modes
-  /// agree on every tie.
+  /// deterministic lexicographic tuple tie-break, compared through the
+  /// arena (arena order is Index::operator<: plain lexicographic
+  /// comparison of the attribute tuples).
   bool MoveBetter(const Move& a, const Move& b) const {
     if (!ExactlyEqual(a.ratio, b.ratio)) return a.ratio > b.ratio;
-#if defined(IDXSEL_KERNEL)
-    if (a.after_id != kernel::kInvalidIndexId &&
-        b.after_id != kernel::kInvalidIndexId) {
-      return engine_.arena().Less(a.after_id, b.after_id);
-    }
-#endif
-    return a.after < b.after;
+    return engine_.arena().Less(a.after_id, b.after_id);
   }
 
   void Consider(Move move, Move* best, Move* runner_up) {
@@ -799,21 +730,10 @@ class Runner {
   double SingleBenefit(workload::AttributeId i) {
     const std::vector<double>& costs = SingleCosts(i);
     const auto& posting = w_.queries_with(i);
-#if defined(IDXSEL_KERNEL)
-    // Vectorized reduction; in default (non-relaxed) mode bit-identical
-    // to the serial loop below, so kernel-off runs may use it too.
+    // Vectorized, bit-identical to the plain serial loop.
     return kernel::simd::ReduceBenefitIndexed(costs.data(), posting.data(),
                                               best_cost_.data(), freq_.data(),
                                               costs.size());
-#else
-    double benefit = 0.0;
-    for (size_t s = 0; s < costs.size(); ++s) {
-      const workload::QueryId j = posting[s];
-      const double gain = best_cost_[j] - costs[s];
-      if (gain > 0.0) benefit += freq_[j] * gain;
-    }
-    return benefit;
-#endif
   }
 
   /// Step 2's ranking of single-attribute indexes, reused for Remark 1(1).
@@ -860,83 +780,10 @@ class Runner {
     std::sort(eligible_singles_.begin(), eligible_singles_.end());
   }
 
+  /// Step (3a): create {i} for every eligible single not yet selected.
+  /// Sizes and maintenance come from the dense id-addressed tables; no
+  /// Index is materialized unless a reconfiguration model needs one.
   void EvaluateNewSingles(Move* best, Move* runner_up) {
-    EvaluateUnits(
-        eligible_singles_.size(),
-        [&](size_t u, std::vector<Move>& out) {
-          const workload::AttributeId i = eligible_singles_[u];
-          if (SingleSelected(i)) return;  // step (3a): I and {i} disjoint
-          const Index k(i);
-          Move move;
-          move.kind = StepKind::kNewSingle;
-          move.after = k;
-          move.benefit = SingleBenefit(i) - ReconfigDelta(nullptr, k) -
-                         engine_.MaintenancePenalty(k);
-          move.memory_delta = engine_.IndexMemory(k);
-          out.push_back(std::move(move));
-        },
-        best, runner_up);
-  }
-
-  void EvaluateAppends(Move* best, Move* runner_up) {
-    EvaluateUnits(
-        selected_.size(),
-        [&](size_t pos, std::vector<Move>& out) {
-          const Index& k = selected_[pos];
-          if (k.width() >= opts_.max_index_width) return;
-          const double base_mem = engine_.IndexMemory(k);
-
-          // Accumulate benefit deltas per extension attribute by iterating
-          // the queries that fully cover k — the only ones whose cost can
-          // change. The maps are unit-local, so their (deterministic)
-          // iteration order is identical in serial and parallel runs.
-          std::unordered_map<workload::AttributeId, double> benefit;
-          std::unordered_map<workload::AttributeId, Index> extended;
-          for (workload::QueryId j : w_.queries_with(k.leading())) {
-            const auto& q_attrs = w_.query(j).attributes;
-            if (k.CoverablePrefixLength(q_attrs) != k.width()) continue;
-            const double cost_without = CostWithout(j, pos);
-            for (workload::AttributeId a : q_attrs) {
-              if (k.Contains(a)) continue;
-              auto [it, inserted] = extended.try_emplace(a);
-              if (inserted) it->second = k.Append(a);
-              const double new_cost = std::min(
-                  cost_without, engine_.CostWithIndex(j, it->second));
-              benefit[a] +=
-                  w_.query(j).frequency * (best_cost_[j] - new_cost);
-            }
-          }
-          // Emit in ascending attribute order: emission order fixes the
-          // first-touch order of the size/maintenance caches (hence the
-          // backend call sequence) and the ratio-tie telemetry, and the
-          // kernel-mode evaluation emits in exactly this order.
-          std::vector<workload::AttributeId> order;
-          order.reserve(benefit.size());
-          // idxsel-lint: allow(unordered-iter) reason=key-collection only; the sort below restores deterministic order before any decision
-          for (const auto& [a, gain] : benefit) order.push_back(a);
-          std::sort(order.begin(), order.end());
-          for (workload::AttributeId a : order) {
-            const Index& k_ext = extended.at(a);
-            Move move;
-            move.kind = StepKind::kAppend;
-            move.selected_pos = pos;
-            move.after = k_ext;
-            move.benefit = benefit.at(a) - ReconfigDelta(&k, k_ext) -
-                           (engine_.MaintenancePenalty(k_ext) -
-                            engine_.MaintenancePenalty(k));
-            move.memory_delta = engine_.IndexMemory(k_ext) - base_mem;
-            out.push_back(std::move(move));
-          }
-        },
-        best, runner_up);
-  }
-
-#if defined(IDXSEL_KERNEL)
-  /// Kernel-mode step (3a): identical move set, values, and engine
-  /// accounting as EvaluateNewSingles (reconfiguration is never configured
-  /// here, so its delta — 0 — drops out), but sizes and maintenance come
-  /// from the dense id-addressed tables and no Index is materialized.
-  void EvaluateNewSinglesKernel(Move* best, Move* runner_up) {
     EvaluateUnits(
         eligible_singles_.size(),
         [&](size_t u, std::vector<Move>& out) {
@@ -946,36 +793,39 @@ class Runner {
           Move move;
           move.kind = StepKind::kNewSingle;
           move.after_id = id;
-          move.benefit =
-              SingleBenefit(i) - engine_.MaintenancePenaltyDense(id);
+          move.benefit = SingleBenefit(i) -
+                         ReconfigDelta(kernel::kInvalidIndexId, id) -
+                         engine_.MaintenancePenaltyDense(id);
           move.memory_delta = engine_.IndexMemoryDense(id);
           out.push_back(std::move(move));
         },
         best, runner_up);
   }
 
-  /// Kernel-mode step (3b), batched. Same move set, values, and engine
-  /// accounting as EvaluateAppends, restructured around the simd layer:
+  /// Step (3b), batched: for every selected k, the benefit of k ⊕ a for
+  /// each attribute a of a query fully covering k, accumulated per
+  /// candidate in ascending posting order. Restructured around the simd
+  /// layer:
   ///
   ///   1. the full-cover test (attrs(k) subset of q_j) streams 4 query
   ///      masks per step over the posting-order mirror
   ///      (simd::FilterMasks); lossy-mask hits are still confirmed on the
   ///      tuple;
-  ///   2. one discovery pass interns extensions in the legacy first-touch
-  ///      order and lays the affected (slot, query, cost-without) triples
-  ///      out as a per-candidate CSR, ascending slots per candidate —
-  ///      exactly the legacy per-candidate accumulation order;
+  ///   2. one discovery pass interns extensions in query-outer,
+  ///      attribute-inner first-touch order and lays the affected (slot,
+  ///      query, cost-without) triples out as a per-candidate CSR,
+  ///      ascending slots per candidate;
   ///   3. when every candidate row is warm (the steady state: round r-1
   ///      filled them), each candidate is costed in one
   ///      CostWithIndexBatch pass over its dense row and reduced by
-  ///      simd::ReduceAppendBenefit — bit-identical benefits in default
-  ///      mode, identical bulk stats, zero backend interaction;
-  ///   4. ANY cold slot demotes the whole unit to the legacy query-outer
-  ///      loop, so backend calls (and rt::FaultInjectingBackend's PRNG
-  ///      stream) keep the exact historical order. Per-candidate
-  ///      fallback would regroup calls candidate-by-candidate — that is
-  ///      why the demotion is all-or-nothing per unit.
-  void EvaluateAppendsKernel(Move* best, Move* runner_up) {
+  ///      simd::ReduceAppendBenefit — bit-identical benefits, identical
+  ///      bulk stats, zero backend interaction;
+  ///   4. ANY cold slot demotes the whole unit to the query-outer loop,
+  ///      so backend calls (and rt::FaultInjectingBackend's PRNG stream)
+  ///      keep one fixed query-outer order. Per-candidate fallback would
+  ///      regroup calls candidate-by-candidate — that is why the demotion
+  ///      is all-or-nothing per unit.
+  void EvaluateAppends(Move* best, Move* runner_up) {
     const kernel::IndexArena& arena = engine_.arena();
     const kernel::QueryMasks& qmasks = engine_.query_masks();
     EvaluateUnits(
@@ -1004,8 +854,7 @@ class Runner {
           }
 
           // (2) discovery: confirm lossy-mask hits, snapshot
-          // cost-without, intern extensions (first-touch order — id
-          // assignment identical to the legacy interleaved loop), count
+          // cost-without, intern extensions in first-touch order, count
           // CSR entries.
           scratch.covered.clear();
           scratch.cov_qid.clear();
@@ -1093,8 +942,8 @@ class Runner {
                     freq_.data(), cnt);
               }
             } else {
-              // (3b) whole-unit legacy order: query-outer,
-              // attribute-inner, per-call dense lookups. The extension
+              // (3b) whole-unit query-outer, attribute-inner order with
+              // per-call dense lookups. The extension
               // keeps k's leading attribute, so it shares k's posting
               // list and the covered slot is also its dense row slot.
               for (size_t e = 0; e < scratch.covered.size(); ++e) {
@@ -1113,6 +962,9 @@ class Runner {
             }
           }
 
+          // Emit in ascending attribute order: emission order fixes the
+          // first-touch order of the size/maintenance caches (hence the
+          // backend call sequence) and the ratio-tie telemetry.
           std::sort(scratch.touched.begin(), scratch.touched.end());
           for (workload::AttributeId a : scratch.touched) {
             const kernel::IndexId eid = scratch.ext_id[a];
@@ -1120,7 +972,7 @@ class Runner {
             move.kind = StepKind::kAppend;
             move.selected_pos = pos;
             move.after_id = eid;
-            move.benefit = scratch.benefit[a] -
+            move.benefit = scratch.benefit[a] - ReconfigDelta(kid, eid) -
                            (engine_.MaintenancePenaltyDense(eid) -
                             engine_.MaintenancePenaltyDense(kid));
             move.memory_delta = engine_.IndexMemoryDense(eid) - base_mem;
@@ -1130,17 +982,13 @@ class Runner {
         best, runner_up);
   }
 
-  /// Fills `after` of a kernel-mode move; only the committed move and the
-  /// traced runner-up ever pay the materialization.
+  /// Fills `after` of a move; only the committed move and the traced
+  /// runner-up ever pay the materialization.
   void MaterializeMove(Move* move) {
-    if (move->valid && move->after_id != kernel::kInvalidIndexId &&
-        move->after.empty()) {
+    if (move->valid && move->after.empty()) {
       move->after = engine_.MaterializeIndex(move->after_id);
     }
   }
-#else
-  void MaterializeMove(Move*) {}
-#endif
 
   /// Remark 1(4): evaluate two-attribute moves. New pairs are seeded from
   /// the eligible singles; append pairs extend fully-covered indexes by two
@@ -1175,12 +1023,10 @@ class Runner {
             Move move;
             move.kind = StepKind::kNewPair;
             move.after = k_pair;
-#if defined(IDXSEL_KERNEL)
-            // Kernel-mode tie-breaks compare ids, so every candidate of a
-            // round must carry one.
-            if (use_kernel_) move.after_id = engine_.InternIndex(k_pair);
-#endif
-            move.benefit = benefit.at(b) - ReconfigDelta(nullptr, k_pair) -
+            move.after_id = engine_.InternIndex(k_pair);
+            move.benefit = benefit.at(b) -
+                           ReconfigDelta(kernel::kInvalidIndexId,
+                                         move.after_id) -
                            engine_.MaintenancePenalty(k_pair);
             move.memory_delta = engine_.IndexMemory(k_pair);
             out.push_back(std::move(move));
@@ -1227,10 +1073,9 @@ class Runner {
             move.kind = StepKind::kAppendPair;
             move.selected_pos = pos;
             move.after = k_ext;
-#if defined(IDXSEL_KERNEL)
-            if (use_kernel_) move.after_id = engine_.InternIndex(k_ext);
-#endif
-            move.benefit = benefit.at(key) - ReconfigDelta(&k, k_ext) -
+            move.after_id = engine_.InternIndex(k_ext);
+            move.benefit = benefit.at(key) -
+                           ReconfigDelta(selected_ids_[pos], move.after_id) -
                            (engine_.MaintenancePenalty(k_ext) -
                             engine_.MaintenancePenalty(k));
             move.memory_delta = engine_.IndexMemory(k_ext) - base_mem;
@@ -1267,7 +1112,9 @@ class Runner {
           Move move;
           move.kind = StepKind::kNewSingle;
           move.after = k;
-          move.benefit = benefit - ReconfigDelta(nullptr, k) -
+          move.after_id = single_ids_[i];
+          move.benefit = benefit -
+                         ReconfigDelta(kernel::kInvalidIndexId, move.after_id) -
                          engine_.MaintenancePenalty(k);
           move.memory_delta = engine_.IndexMemory(k);
           out.push_back(std::move(move));
@@ -1319,7 +1166,9 @@ class Runner {
             move.kind = StepKind::kAppend;
             move.selected_pos = pos;
             move.after = k_ext;
-            move.benefit = benefit - ReconfigDelta(&k, k_ext) -
+            move.after_id = engine_.arena().InternAppend(selected_ids_[pos], a);
+            move.benefit = benefit -
+                           ReconfigDelta(selected_ids_[pos], move.after_id) -
                            (engine_.MaintenancePenalty(k_ext) -
                             engine_.MaintenancePenalty(k));
             move.memory_delta = engine_.IndexMemory(k_ext) - base_mem;
@@ -1337,9 +1186,11 @@ class Runner {
     }
     if (move.kind == StepKind::kNewSingle || move.kind == StepKind::kNewPair) {
       selected_.push_back(move.after);
+      selected_ids_.push_back(move.after_id);
     } else {
       replaced_ = selected_[move.selected_pos];
       selected_[move.selected_pos] = move.after;
+      selected_ids_[move.selected_pos] = move.after_id;
     }
     used_memory_ += move.memory_delta;
     // Refresh the costs of every query the new configuration could touch
@@ -1354,57 +1205,14 @@ class Runner {
 
   // -- Committing ------------------------------------------------------------
 
+  /// Commits a one-index-per-query move, addressed by interned ids. A
+  /// new index registers its posting-list costs; an append re-estimates
+  /// only the queries that fully cover the replaced index and constrain
+  /// the first appended attribute (every other query keeps
+  /// f_j(k_new) == f_j(k_old), the cost-model invariant), then lets the
+  /// morphed index inherit the replaced index's dense cost row (delta
+  /// costing — only re-estimated slots were written before this).
   void Commit(const Move& move) {
-#if defined(IDXSEL_KERNEL)
-    if (use_kernel_) {
-      CommitKernel(move);
-      return;
-    }
-#endif
-    replaced_ = Index();
-    // Maintenance penalties are part of the tracked objective.
-    objective_ += engine_.MaintenancePenalty(move.after);
-    if (move.kind == StepKind::kAppend || move.kind == StepKind::kAppendPair) {
-      objective_ -= engine_.MaintenancePenalty(selected_[move.selected_pos]);
-    }
-    if (move.kind == StepKind::kNewSingle || move.kind == StepKind::kNewPair) {
-      const size_t pos = selected_.size();
-      selected_.push_back(move.after);
-      for (workload::QueryId j : w_.queries_with(move.after.leading())) {
-        InsertCost(j, pos, engine_.CostWithIndex(j, move.after));
-      }
-    } else {
-      replaced_ = selected_[move.selected_pos];
-      // Only queries that fully cover the old index *and* constrain the
-      // first appended attribute can change cost; everything else keeps
-      // f_j(k_new) == f_j(k_old) (cost-model invariant), so consulting the
-      // engine for them would waste what-if calls.
-      const workload::AttributeId first_appended =
-          move.after.attribute(replaced_.width());
-      affected_scratch_.clear();
-      for (workload::QueryId j : w_.queries_with(replaced_.leading())) {
-        const auto& q_attrs = w_.query(j).attributes;
-        if (!std::binary_search(q_attrs.begin(), q_attrs.end(),
-                                first_appended)) {
-          continue;
-        }
-        if (replaced_.CoverablePrefixLength(q_attrs) != replaced_.width()) {
-          continue;
-        }
-        affected_scratch_.push_back(j);
-      }
-      selected_[move.selected_pos] = move.after;
-      for (workload::QueryId j : affected_scratch_) RecomputeQuery(j);
-    }
-    used_memory_ += move.memory_delta;
-  }
-
-#if defined(IDXSEL_KERNEL)
-  /// Kernel-mode Commit: the same mutations and engine accounting as the
-  /// legacy branch above, addressed by interned ids; an append finishes by
-  /// letting the morphed index inherit the replaced index's dense cost row
-  /// (delta costing — only re-estimated slots were written before this).
-  void CommitKernel(const Move& move) {
     const kernel::IndexArena& arena = engine_.arena();
     const kernel::QueryMasks& qmasks = engine_.query_masks();
     IDXSEL_DCHECK(move.after_id != kernel::kInvalidIndexId);
@@ -1466,7 +1274,7 @@ class Runner {
       }
       selected_[move.selected_pos] = move.after;
       selected_ids_[move.selected_pos] = move.after_id;
-      for (workload::QueryId j : affected_scratch_) RecomputeQueryKernel(j);
+      for (workload::QueryId j : affected_scratch_) RecomputeQuery(j);
       // Every query not re-estimated above keeps f_j(k ⊕ a) == f_j(k)
       // (cost-model invariant), so the new row inherits the old one.
       engine_.InheritCostRow(replaced_id, move.after_id);
@@ -1474,10 +1282,11 @@ class Runner {
     used_memory_ += move.memory_delta;
   }
 
-  /// Applicable() on ids: a clear leading bit is a definitive reject; an
-  /// exact-mask hit is definitive too (queries only constrain attributes
-  /// of their own table, so leading membership implies same-table).
-  bool ApplicableKernel(workload::QueryId j, kernel::IndexId id) const {
+  /// WhatIfEngine::Applicable on ids: a clear leading bit is a definitive
+  /// reject; an exact-mask hit is definitive too (queries only constrain
+  /// attributes of their own table, so leading membership implies
+  /// same-table).
+  bool Applicable(workload::QueryId j, kernel::IndexId id) const {
     const kernel::QueryMasks& qmasks = engine_.query_masks();
     const workload::AttributeId lead = engine_.arena().leading(id);
     if (qmasks.DefinitelyAbsent(j, lead)) return false;
@@ -1486,15 +1295,16 @@ class Runner {
     return std::binary_search(q_attrs.begin(), q_attrs.end(), lead);
   }
 
-  /// RecomputeQuery through the dense tables — identical values and
-  /// engine accounting (the dense misses fall back to the keyed path).
-  void RecomputeQueryKernel(workload::QueryId j) {
+  /// Recomputes best/second-best/owner for query j from scratch (base cost
+  /// plus every applicable selected index); O(|selection|) dense lookups.
+  /// Used for queries affected by a replacement.
+  void RecomputeQuery(workload::QueryId j) {
     const double old_best = best_cost_[j];
     double b1 = engine_.BaseCost(j);
     double b2 = std::numeric_limits<double>::infinity();
     size_t owner = kNoOwner;
     for (size_t p = 0; p < selected_.size(); ++p) {
-      if (!ApplicableKernel(j, selected_ids_[p])) continue;
+      if (!Applicable(j, selected_ids_[p])) continue;
       const double c = engine_.CostWithIndexDenseSlow(j, selected_ids_[p]);
       if (c < b1) {
         b2 = b1;
@@ -1509,7 +1319,6 @@ class Runner {
     best_owner_[j] = owner;
     objective_ += w_.query(j).frequency * (b1 - old_best);
   }
-#endif
 
   /// Rebuilds every per-query and objective bookkeeping from selected_.
   void RebuildState() {
@@ -1598,16 +1407,10 @@ class Runner {
         }
         selected_.assign(hypothetical.indexes().begin(),
                          hypothetical.indexes().end());
-#if defined(IDXSEL_KERNEL)
-        if (use_kernel_) {
-          // Keep the id view aligned; later prune/recompute rounds (and
-          // the next repair iteration's bookkeeping) read it.
-          selected_ids_.clear();
-          for (const Index& kept : selected_) {
-            selected_ids_.push_back(engine_.InternIndex(kept));
-          }
+        selected_ids_.clear();
+        for (const Index& kept : selected_) {
+          selected_ids_.push_back(engine_.InternIndex(kept));
         }
-#endif
         RebuildState();
         step.objective_after = objective_;
         step.memory_delta = 0.0;  // net change is below the budget anyway
@@ -1652,21 +1455,11 @@ class Runner {
                         step.objective_after, step.memory_delta);
       }
       selected_.erase(selected_.begin() + static_cast<long>(p));
-#if defined(IDXSEL_KERNEL)
-      if (use_kernel_) {
-        selected_ids_.erase(selected_ids_.begin() + static_cast<long>(p));
-      }
-#endif
+      selected_ids_.erase(selected_ids_.begin() + static_cast<long>(p));
     }
     if (any_dropped) {
       // Positions shifted: rebuild the per-query owner bookkeeping.
       for (workload::QueryId j = 0; j < w_.num_queries(); ++j) {
-#if defined(IDXSEL_KERNEL)
-        if (use_kernel_) {
-          RecomputeQueryKernel(j);
-          continue;
-        }
-#endif
         RecomputeQuery(j);
       }
     }
@@ -1707,9 +1500,7 @@ class Runner {
   std::vector<double> second_cost_;
   std::vector<size_t> best_owner_;
   std::vector<workload::AttributeId> eligible_singles_;
-#if defined(IDXSEL_KERNEL)
-  std::vector<uint32_t> commit_kept_;  ///< CommitKernel filter scratch
-#endif
+  std::vector<uint32_t> commit_kept_;  ///< Commit filter scratch
   std::vector<std::vector<double>> single_costs_;  ///< posting-order SoA
   std::vector<char> single_costs_ready_;
   /// b_j per query, flat — the gather table of the simd reductions
@@ -1720,15 +1511,12 @@ class Runner {
   // their capacity instead of reallocating per round.
   std::vector<Move> serial_moves_;
   std::vector<std::vector<Move>> unit_buffers_;
-#if defined(IDXSEL_KERNEL)
-  bool use_kernel_ = false;
   std::vector<kernel::IndexId> selected_ids_;  ///< Parallel to selected_.
   std::vector<kernel::IndexId> single_ids_;    ///< Per attribute: id of {i}.
   /// Mask-filtered query count; atomic because parallel evaluation units
   /// flush their per-unit tallies concurrently. Published to
   /// idxsel.kernel.filtered_queries in the end-of-run batch.
   std::atomic<uint64_t> kernel_filtered_{0};
-#endif
   double objective_ = 0.0;
   double used_memory_ = 0.0;
   Index replaced_;

@@ -31,6 +31,9 @@ class ReconfigurationModel {
     IDXSEL_CHECK(engine != nullptr);
   }
 
+  /// Flat cost of dropping one index of the old selection.
+  double drop_cost() const { return params_.drop_cost; }
+
   /// Cost of creating index k from scratch.
   double CreateCost(const Index& k) const {
     return params_.create_factor * engine_->IndexMemory(k);

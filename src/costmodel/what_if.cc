@@ -5,9 +5,7 @@
 #include <limits>
 #include <string>
 
-#if defined(IDXSEL_KERNEL)
 #include "kernel/simd.h"
-#endif
 
 namespace idxsel::costmodel {
 namespace {
@@ -49,10 +47,8 @@ double WhatIfBackend::CostWithConfig(QueryId j,
 }
 
 WhatIfEngine::WhatIfEngine(const workload::Workload* workload_in,
-                           WhatIfBackend* backend, bool canonicalize_keys)
-    : workload_(workload_in),
-      backend_(backend),
-      canonicalize_keys_(canonicalize_keys) {
+                           WhatIfBackend* backend)
+    : workload_(workload_in), backend_(backend) {
   IDXSEL_CHECK(workload_ != nullptr);
   IDXSEL_CHECK(backend_ != nullptr);
 #if defined(IDXSEL_OBS)
@@ -65,20 +61,11 @@ WhatIfEngine::WhatIfEngine(const workload::Workload* workload_in,
   obs_cost_entries_ = registry.GetGauge("idxsel.whatif.cost_cache_entries");
   obs_config_entries_ =
       registry.GetGauge("idxsel.whatif.config_cache_entries");
-#endif
-#if defined(IDXSEL_KERNEL)
-  // Dense tables only make sense under key canonicalization (their row
-  // inheritance leans on the same invariant), so skip the ~1 MB of block
-  // directories when it is off. Callers gate on DenseActive().
-  if (canonicalize_keys_) {
-    dense_ = std::make_unique<DenseState>(*workload_);
-  }
-#if defined(IDXSEL_OBS)
   obs_kernel_fast_ = registry.GetCounter("idxsel.kernel.fast_path_hits");
   obs_kernel_fallback_ =
       registry.GetCounter("idxsel.kernel.fallback_lookups");
 #endif
-#endif
+  dense_ = std::make_unique<DenseState>(*workload_);
   const size_t n = workload_->num_queries();
   base_cost_ = std::make_unique<std::atomic<double>[]>(n);
   for (size_t j = 0; j < n; ++j) {
@@ -171,7 +158,6 @@ bool WhatIfEngine::Applicable(QueryId j, const Index& k) const {
 
 Index WhatIfEngine::CanonicalCostIndex(QueryId j, const Index& k) const {
   IDXSEL_DCHECK(Applicable(j, k));
-  if (!canonicalize_keys_) return k;
   // f_j(k) only depends on the coverable prefix as a *set*; normalize so
   // equivalent what-if calls hit the cache (INUM-style reuse).
   const auto& q_attrs = workload_->query(j).attributes;
@@ -275,25 +261,6 @@ double WhatIfEngine::ConfigMemory(const IndexConfig& config) {
   return total;
 }
 
-double WhatIfEngine::WorkloadCost(const IndexConfig& config) {
-#if defined(IDXSEL_KERNEL)
-  if (DenseActive()) return WorkloadCostDense(config);
-#endif
-  double total = 0.0;
-  for (QueryId j = 0; j < workload_->num_queries(); ++j) {
-    double best = BaseCost(j);
-    for (const Index& k : config.indexes()) {
-      if (!Applicable(j, k)) continue;
-      best = std::min(best, CostWithIndex(j, k));
-    }
-    total += workload_->query(j).frequency * best;
-  }
-  for (const Index& k : config.indexes()) total += MaintenancePenalty(k);
-  return total;
-}
-
-#if defined(IDXSEL_KERNEL)
-
 Index WhatIfEngine::MaterializeIndex(kernel::IndexId id) const {
   const kernel::IndexArena& arena = dense_->arena;
   return Index(std::vector<workload::AttributeId>(
@@ -302,7 +269,6 @@ Index WhatIfEngine::MaterializeIndex(kernel::IndexId id) const {
 
 double WhatIfEngine::CostWithIndexDense(QueryId j, kernel::IndexId id,
                                         uint32_t slot) {
-  IDXSEL_DCHECK(DenseActive());
   const double cached = dense_->costs.Get(id, slot);
   if (!std::isnan(cached)) {
     // Counting a cache hit here matches the keyed path exactly: a filled
@@ -338,7 +304,6 @@ bool WhatIfEngine::PeekDenseCostBlock(kernel::IndexId id,
 bool WhatIfEngine::CostWithIndexBatch(kernel::IndexId id,
                                       const uint32_t* slots, size_t n,
                                       double* out) {
-  IDXSEL_DCHECK(DenseActive());
   if (n == 0) return true;
   const kernel::DenseCostTable::RowView row = dense_->costs.ViewRow(id);
   if (row.values == nullptr) return false;
@@ -398,13 +363,12 @@ void WhatIfEngine::InheritCostRow(kernel::IndexId from, kernel::IndexId to) {
   dense_->costs.InheritRow(from, to, static_cast<uint32_t>(posting.size()));
 }
 
-double WhatIfEngine::WorkloadCostDense(const IndexConfig& config) {
+double WhatIfEngine::WorkloadCost(const IndexConfig& config) {
   // One posting-list cursor per configured index: queries are visited in
   // ascending order, so applicability is a cursor advance instead of a
   // table lookup + binary search, and the cursor position doubles as the
-  // dense row slot. Values, iteration order, and backend call order are
-  // exactly those of the generic loop above (posting membership <=>
-  // Applicable, because queries only touch same-table attributes).
+  // dense row slot (posting membership <=> Applicable, because queries
+  // only touch same-table attributes).
   struct Cursor {
     kernel::IndexId id;
     const std::vector<QueryId>* posting;
@@ -431,8 +395,6 @@ double WhatIfEngine::WorkloadCostDense(const IndexConfig& config) {
   for (const Cursor& c : cursors) total += MaintenancePenaltyDense(c.id);
   return total;
 }
-
-#endif  // IDXSEL_KERNEL
 
 double WhatIfEngine::CostWithConfig(QueryId j, const IndexConfig& config) {
   // Only same-table indexes can influence the query; canonicalizing the key
@@ -492,11 +454,9 @@ void WhatIfEngine::InvalidateCostCache() {
   (void)cost_erased;
   (void)config_erased;
 #endif
-#if defined(IDXSEL_KERNEL)
   // The dense table shadows the cost cache, so it must forget too (sizes
   // and maintenance penalties are kept, mirroring the keyed caches).
-  if (dense_ != nullptr) dense_->costs.Invalidate();
-#endif
+  dense_->costs.Invalidate();
   for (size_t j = 0; j < workload_->num_queries(); ++j) {
     base_cost_[j].store(std::numeric_limits<double>::quiet_NaN(),
                         std::memory_order_relaxed);
@@ -508,9 +468,7 @@ void WhatIfEngine::InvalidateFrequencyDependentCaches() {
   // MaintenanceCost(j, k); a frequency change stales exactly this cache
   // (and its dense mirror). Per-execution costs and sizes are untouched.
   maintenance_cache_.Clear();
-#if defined(IDXSEL_KERNEL)
-  if (dense_ != nullptr) dense_->maintenance.Invalidate();
-#endif
+  dense_->maintenance.Invalidate();
 }
 
 }  // namespace idxsel::costmodel

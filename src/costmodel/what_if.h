@@ -24,11 +24,8 @@
 #include "costmodel/cost_model.h"
 #include "costmodel/index.h"
 #include "exec/sharded_map.h"
-#include "obs/obs.h"
-
-#if defined(IDXSEL_KERNEL)
 #include "kernel/kernel.h"
-#endif
+#include "obs/obs.h"
 
 namespace idxsel::costmodel {
 
@@ -133,9 +130,7 @@ struct WhatIfStats {
 /// Cache keys are canonicalized to (query, coverable-prefix-attribute-set):
 /// the cost of q_j under k only depends on the prefix of k the query can
 /// exploit, and not on the order within that prefix. Recognizing equivalent
-/// what-if calls this way is the INUM-style reuse the paper recommends; it
-/// can be disabled via `canonicalize_keys` (e.g. for backends violating the
-/// invariant).
+/// what-if calls this way is the INUM-style reuse the paper recommends.
 ///
 /// Concurrency: every method is safe to call from any number of threads.
 /// The caches are exec::ShardedMap instances (per-shard mutex, shard
@@ -147,8 +142,7 @@ struct WhatIfStats {
 /// counts at all times.
 class WhatIfEngine {
  public:
-  WhatIfEngine(const workload::Workload* workload, WhatIfBackend* backend,
-               bool canonicalize_keys = true);
+  WhatIfEngine(const workload::Workload* workload, WhatIfBackend* backend);
   ~WhatIfEngine();
 
   // Non-copyable: the engine owes its cached-entry counts to the global
@@ -203,8 +197,8 @@ class WhatIfEngine {
   // an audit pass cannot perturb the call counts it runs beside.
 
   /// The canonical cache key CostWithIndex files f_j(k) under: the
-  /// coverable-prefix attribute set of k for q_j, sorted (k itself when
-  /// key canonicalization is disabled). Requires Applicable(j, k).
+  /// coverable-prefix attribute set of k for q_j, sorted. Requires
+  /// Applicable(j, k).
   Index CanonicalCostIndex(QueryId j, const Index& k) const;
 
   /// True iff the hashed cost cache holds an entry for
@@ -271,16 +265,10 @@ class WhatIfEngine {
   /// concurrently with in-flight estimations.
   void InvalidateFrequencyDependentCaches();
 
-#if defined(IDXSEL_KERNEL)
-  /// True when the dense kernel fast path may be consulted: the build
-  /// compiled it in, the runtime gate (kernel::Enabled / IDXSEL_KERNEL env
-  /// var) is open, and cache keys are canonicalized — the dense tables key
-  /// rows by interned index id and reuse rows across equivalent prefixes,
-  /// which is only sound under the same invariant canonicalization relies
-  /// on (doc/cost_model.md).
-  bool DenseActive() const {
-    return canonicalize_keys_ && kernel::Enabled();
-  }
+  // -- Dense id-addressed fast path (src/kernel) ---------------------------
+  // The dense tables key rows by interned index id and reuse rows across
+  // equivalent prefixes, which is sound under the same invariant the key
+  // canonicalization relies on (doc/cost_model.md).
 
   /// The engine-owned intern arena. Ids are stable for the engine lifetime.
   kernel::IndexArena& arena() { return dense_->arena; }
@@ -357,7 +345,6 @@ class WhatIfEngine {
   /// recomputed before the call) or provably cannot (f_j identical — the
   /// canonicalization invariant); the H6 commit step is the only caller.
   void InheritCostRow(kernel::IndexId from, kernel::IndexId to);
-#endif
 
  private:
   /// Returns `value` if it is a well-formed cost/size (finite, >= 0);
@@ -402,7 +389,6 @@ class WhatIfEngine {
 
   const workload::Workload* workload_;
   WhatIfBackend* backend_;
-  bool canonicalize_keys_;
 
   /// Relaxed atomics: see WhatIfStats docs for the determinism argument.
   struct AtomicStats {
@@ -446,11 +432,6 @@ class WhatIfEngine {
   exec::ShardedMap<Index, double, IndexHash> maintenance_cache_;
   std::vector<QueryId> write_queries_;  // precomputed at construction
 
-#if defined(IDXSEL_KERNEL)
-  /// F(I*) via interned ids and posting-list cursors; same values, same
-  /// backend call order as the generic loop (doc/cost_model.md).
-  double WorkloadCostDense(const IndexConfig& config);
-
   /// Dense-id-addressed state. Heap-allocated: the block-pointer
   /// directories inside the tables are hundreds of KB and the engine is
   /// routinely stack-constructed.
@@ -466,7 +447,6 @@ class WhatIfEngine {
 #if defined(IDXSEL_OBS)
   obs::Counter* obs_kernel_fast_;      ///< idxsel.kernel.fast_path_hits.
   obs::Counter* obs_kernel_fallback_;  ///< idxsel.kernel.fallback_lookups.
-#endif
 #endif
 };
 

@@ -16,11 +16,9 @@
 //     workload. Combined with the workload's attribute→query posting
 //     lists (Workload::queries_with), a candidate move only visits the
 //     queries whose mask intersects the affected attribute set.
-//   * A runtime switch (Enabled/SetEnabled, env IDXSEL_KERNEL) mirroring
-//     idxsel::obs, so one binary can run with the kernel on and off and
-//     prove the two bit-identical — plus the compile-time escape hatch
-//     -DIDXSEL_ENABLE_KERNEL=OFF which removes every integration site
-//     (the library itself still builds).
+//   * Dense per-id tables (DenseValueTable, DenseCostTable) holding the
+//     engine's cached sizes, maintenance penalties, and per-(index,
+//     posting slot) costs.
 //
 // Masks are *exact* when the workload has at most 64 attributes (bit i
 // set iff attribute i present) and *conservative* otherwise (bit i%64):
@@ -40,7 +38,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <unordered_map>
@@ -60,46 +57,6 @@ using workload::QueryId;
 /// Dense id of an interned attribute tuple; valid within one IndexArena.
 using IndexId = uint32_t;
 inline constexpr IndexId kInvalidIndexId = ~IndexId{0};
-
-// -- Runtime switch ---------------------------------------------------------
-
-namespace internal {
-
-inline std::atomic<bool>& KernelFlag() {
-  static std::atomic<bool> flag{[] {
-    const char* v = std::getenv("IDXSEL_KERNEL");
-    return v == nullptr || v[0] != '0';  // default ON; IDXSEL_KERNEL=0 off
-  }()};
-  return flag;
-}
-
-}  // namespace internal
-
-/// True iff the dense fast paths are active. The kernel is a layout
-/// change, not an algorithm change: results are bit-identical either way
-/// (tests/kernel_test.cc holds this line).
-inline bool Enabled() {
-  return internal::KernelFlag().load(std::memory_order_relaxed);
-}
-
-/// Flips the dense fast paths at run time (tests, A/B benches).
-inline void SetEnabled(bool on) {
-  internal::KernelFlag().store(on, std::memory_order_relaxed);
-}
-
-/// RAII toggle for equivalence tests and A/B benchmarks.
-class ScopedKernelEnabled {
- public:
-  explicit ScopedKernelEnabled(bool on) : previous_(Enabled()) {
-    SetEnabled(on);
-  }
-  ~ScopedKernelEnabled() { SetEnabled(previous_); }
-  ScopedKernelEnabled(const ScopedKernelEnabled&) = delete;
-  ScopedKernelEnabled& operator=(const ScopedKernelEnabled&) = delete;
-
- private:
-  bool previous_;
-};
 
 // -- Attribute masks --------------------------------------------------------
 

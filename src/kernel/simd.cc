@@ -19,12 +19,11 @@ namespace idxsel::kernel::simd {
 // Instantiated in simd_avx2.cc from the same simd_impl.h template.
 namespace avx2_impl {
 double ReduceBenefitIndexed(const double* costs, const uint32_t* qids,
-                            const double* best, const double* freq, size_t n,
-                            bool relaxed);
+                            const double* best, const double* freq, size_t n);
 double ReduceAppendBenefit(const double* costs, const double* cw,
                            const uint32_t* qids, const double* best,
-                           const double* freq, size_t n, bool relaxed);
-double SumSetSlots(const double* row, size_t n, bool relaxed);
+                           const double* freq, size_t n);
+double SumSetSlots(const double* row, size_t n);
 double MinSetSlots(const double* row, size_t n);
 size_t FilterMasks(const uint64_t* masks, size_t n, uint64_t required,
                    uint32_t* out);
@@ -66,39 +65,32 @@ Level ActiveLevel() {
 double ReduceBenefitIndexed(const double* costs, const uint32_t* qids,
                             const double* best, const double* freq,
                             size_t n) {
-  const bool relaxed = Relaxed();
 #if defined(IDXSEL_SIMD_HAVE_AVX2)
   if (ActiveLevel() == Level::kAvx2) {
-    return avx2_impl::ReduceBenefitIndexed(costs, qids, best, freq, n,
-                                           relaxed);
+    return avx2_impl::ReduceBenefitIndexed(costs, qids, best, freq, n);
   }
 #endif
-  return scalar_impl::ReduceBenefitIndexed(costs, qids, best, freq, n,
-                                           relaxed);
+  return scalar_impl::ReduceBenefitIndexed(costs, qids, best, freq, n);
 }
 
 double ReduceAppendBenefit(const double* costs, const double* cw,
                            const uint32_t* qids, const double* best,
                            const double* freq, size_t n) {
-  const bool relaxed = Relaxed();
 #if defined(IDXSEL_SIMD_HAVE_AVX2)
   if (ActiveLevel() == Level::kAvx2) {
-    return avx2_impl::ReduceAppendBenefit(costs, cw, qids, best, freq, n,
-                                          relaxed);
+    return avx2_impl::ReduceAppendBenefit(costs, cw, qids, best, freq, n);
   }
 #endif
-  return scalar_impl::ReduceAppendBenefit(costs, cw, qids, best, freq, n,
-                                          relaxed);
+  return scalar_impl::ReduceAppendBenefit(costs, cw, qids, best, freq, n);
 }
 
 double SumSetSlots(const double* row, size_t n) {
-  const bool relaxed = Relaxed();
 #if defined(IDXSEL_SIMD_HAVE_AVX2)
   if (ActiveLevel() == Level::kAvx2) {
-    return avx2_impl::SumSetSlots(row, n, relaxed);
+    return avx2_impl::SumSetSlots(row, n);
   }
 #endif
-  return scalar_impl::SumSetSlots(row, n, relaxed);
+  return scalar_impl::SumSetSlots(row, n);
 }
 
 double MinSetSlots(const double* row, size_t n) {

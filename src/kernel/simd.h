@@ -21,7 +21,7 @@
 // ScopedForceScalar (tests, A/B benches) pins the scalar path so both
 // sides of the dispatch can be exercised on one machine.
 //
-// FP-reduction-order contract (default mode). Every reduction here is
+// FP-reduction-order contract. Every reduction here is
 // bit-identical to the plain serial loop it replaces: lanes are combined
 // with per-element IEEE ops (identical in scalar and AVX2) and the final
 // accumulation folds lanes horizontally in ascending element order —
@@ -31,18 +31,12 @@
 // is bit-identical to skipping because accumulators start at +0.0 and
 // every retained term is finite (the engine sanitizes backend garbage
 // before it reaches a dense row). This is what keeps the audit layer's
-// SIMD-vs-scalar and kernel-vs-legacy cross-validations byte-identical.
-//
-// `IDXSEL_SIMD_RELAXED=1` (env, or SetRelaxed / ScopedRelaxed) unlocks
-// reassociated reductions: four independent lane accumulators summed once
-// at the end. That is the textbook 4-way-ILP shape — faster, but the FP
-// sum order changes, so results may differ from the serial loop by
-// rounding (bounded by standard reassociation error, ~n·eps·Σ|term|).
-// Relaxed mode is therefore opt-in, never default, and the bit-identity
-// suites force it off. See doc/cost_model.md ("SIMD under the kernel").
+// SIMD-vs-scalar cross-validation and the plain-loop reference selector
+// (tests/reference_h6.h) byte-identical. See doc/cost_model.md ("SIMD
+// under the kernel").
 //
 // Thread-safety: all entry points are pure functions over caller-owned
-// memory; the switches are relaxed atomics sampled per call.
+// memory; the force-scalar switch is a relaxed atomic sampled per call.
 
 #ifndef IDXSEL_KERNEL_SIMD_H_
 #define IDXSEL_KERNEL_SIMD_H_
@@ -85,14 +79,6 @@ inline std::atomic<bool>& ForceScalarFlag() {
   return flag;
 }
 
-inline std::atomic<bool>& RelaxedFlag() {
-  static std::atomic<bool> flag{[] {
-    const char* v = std::getenv("IDXSEL_SIMD_RELAXED");
-    return v != nullptr && v[0] != '\0' && v[0] != '0';
-  }()};
-  return flag;
-}
-
 }  // namespace internal
 
 /// True while dispatch is pinned to the scalar template (env
@@ -119,32 +105,9 @@ class ScopedForceScalar {
   bool previous_;
 };
 
-/// True when reassociated (NOT bit-identical) reductions are unlocked —
-/// env IDXSEL_SIMD_RELAXED=1 or SetRelaxed(true). Default off.
-inline bool Relaxed() {
-  return internal::RelaxedFlag().load(std::memory_order_relaxed);
-}
-
-inline void SetRelaxed(bool on) {
-  internal::RelaxedFlag().store(on, std::memory_order_relaxed);
-}
-
-/// RAII toggle for the relaxed-reduction mode (benches, tolerance tests).
-class ScopedRelaxed {
- public:
-  explicit ScopedRelaxed(bool on) : previous_(Relaxed()) { SetRelaxed(on); }
-  ~ScopedRelaxed() { SetRelaxed(previous_); }
-  ScopedRelaxed(const ScopedRelaxed&) = delete;
-  ScopedRelaxed& operator=(const ScopedRelaxed&) = delete;
-
- private:
-  bool previous_;
-};
-
 // -- Reductions -------------------------------------------------------------
 //
-// Default mode: bit-identical to the serial loop written in each doc
-// comment. Relaxed mode: same value up to FP reassociation.
+// Bit-identical to the serial loop written in each doc comment.
 
 /// Benefit of a single-attribute candidate over a posting list:
 ///
@@ -181,8 +144,7 @@ double SumSetSlots(const double* row, size_t n);
 ///
 ///   acc = +inf; for (t = 0; t < n; ++t) if (!isnan(row[t])) acc = min(acc, row[t]);
 ///
-/// NaN lanes are blended to +inf (the identity of min). Unaffected by
-/// relaxed mode: min is order-insensitive over the retained lanes.
+/// NaN lanes are blended to +inf (the identity of min).
 double MinSetSlots(const double* row, size_t n);
 
 // -- Mask filtering ---------------------------------------------------------

@@ -87,8 +87,6 @@ struct Vec {
     }
     return acc;
   }
-  static double ReduceAdd(Vec x) { return FoldAdd(0.0, x); }
-  static Vec Add(Vec a, Vec b) { return {_mm256_add_pd(a.v, b.v)}; }
   static Vec Zero() { return {_mm256_setzero_pd()}; }
 };
 
@@ -174,12 +172,6 @@ struct Vec {
     }
     return acc;
   }
-  static double ReduceAdd(Vec x) { return FoldAdd(0.0, x); }
-  static Vec Add(Vec a, Vec b) {
-    Vec r;
-    for (size_t t = 0; t < kLanes; ++t) r.v[t] = a.v[t] + b.v[t];
-    return r;
-  }
   static Vec Zero() { return Broadcast(0.0); }
 };
 
@@ -197,35 +189,21 @@ inline uint32_t KeepBits4(const uint64_t* masks, uint64_t required) {
 // -- Shared algorithm bodies ------------------------------------------------
 
 double ReduceBenefitIndexed(const double* costs, const uint32_t* qids,
-                            const double* best, const double* freq, size_t n,
-                            bool relaxed) {
+                            const double* best, const double* freq,
+                            size_t n) {
   const size_t blocks = n / kLanes;
   double acc = 0.0;
-  if (relaxed) {
-    // Reassociated: one independent accumulator per lane, folded once.
-    Vec vacc = Vec::Zero();
-    for (size_t b = 0; b < blocks; ++b) {
-      const size_t t = b * kLanes;
-      const Vec gain =
-          Vec::Sub(Vec::Gather(best, qids + t), Vec::Load(costs + t));
-      const Vec term =
-          Vec::KeepIfGtZero(gain, Vec::Mul(Vec::Gather(freq, qids + t), gain));
-      vacc = Vec::Add(vacc, term);
-    }
-    acc = Vec::ReduceAdd(vacc);
-  } else {
-    // Exact: vector math, serial-order fold — bit-identical to the plain
-    // loop (the +0.0 of an excluded lane is an addition identity here:
-    // retained terms are non-negative finite, so acc never holds -0.0
-    // after a retained add, and +0.0 + +0.0 == +0.0).
-    for (size_t b = 0; b < blocks; ++b) {
-      const size_t t = b * kLanes;
-      const Vec gain =
-          Vec::Sub(Vec::Gather(best, qids + t), Vec::Load(costs + t));
-      const Vec term =
-          Vec::KeepIfGtZero(gain, Vec::Mul(Vec::Gather(freq, qids + t), gain));
-      acc = Vec::FoldAdd(acc, term);
-    }
+  // Vector math, serial-order fold — bit-identical to the plain loop (the
+  // +0.0 of an excluded lane is an addition identity here: retained terms
+  // are non-negative finite, so acc never holds -0.0 after a retained add,
+  // and +0.0 + +0.0 == +0.0).
+  for (size_t b = 0; b < blocks; ++b) {
+    const size_t t = b * kLanes;
+    const Vec gain =
+        Vec::Sub(Vec::Gather(best, qids + t), Vec::Load(costs + t));
+    const Vec term =
+        Vec::KeepIfGtZero(gain, Vec::Mul(Vec::Gather(freq, qids + t), gain));
+    acc = Vec::FoldAdd(acc, term);
   }
   for (size_t t = blocks * kLanes; t < n; ++t) {
     const double gain = best[qids[t]] - costs[t];
@@ -236,25 +214,14 @@ double ReduceBenefitIndexed(const double* costs, const uint32_t* qids,
 
 double ReduceAppendBenefit(const double* costs, const double* cw,
                            const uint32_t* qids, const double* best,
-                           const double* freq, size_t n, bool relaxed) {
+                           const double* freq, size_t n) {
   const size_t blocks = n / kLanes;
   double acc = 0.0;
-  if (relaxed) {
-    Vec vacc = Vec::Zero();
-    for (size_t b = 0; b < blocks; ++b) {
-      const size_t t = b * kLanes;
-      const Vec new_cost = Vec::Min(Vec::Load(cw + t), Vec::Load(costs + t));
-      const Vec gain = Vec::Sub(Vec::Gather(best, qids + t), new_cost);
-      vacc = Vec::Add(vacc, Vec::Mul(Vec::Gather(freq, qids + t), gain));
-    }
-    acc = Vec::ReduceAdd(vacc);
-  } else {
-    for (size_t b = 0; b < blocks; ++b) {
-      const size_t t = b * kLanes;
-      const Vec new_cost = Vec::Min(Vec::Load(cw + t), Vec::Load(costs + t));
-      const Vec gain = Vec::Sub(Vec::Gather(best, qids + t), new_cost);
-      acc = Vec::FoldAdd(acc, Vec::Mul(Vec::Gather(freq, qids + t), gain));
-    }
+  for (size_t b = 0; b < blocks; ++b) {
+    const size_t t = b * kLanes;
+    const Vec new_cost = Vec::Min(Vec::Load(cw + t), Vec::Load(costs + t));
+    const Vec gain = Vec::Sub(Vec::Gather(best, qids + t), new_cost);
+    acc = Vec::FoldAdd(acc, Vec::Mul(Vec::Gather(freq, qids + t), gain));
   }
   for (size_t t = blocks * kLanes; t < n; ++t) {
     const double new_cost = cw[t] < costs[t] ? cw[t] : costs[t];
@@ -263,20 +230,12 @@ double ReduceAppendBenefit(const double* costs, const double* cw,
   return acc;
 }
 
-double SumSetSlots(const double* row, size_t n, bool relaxed) {
+double SumSetSlots(const double* row, size_t n) {
   const size_t blocks = n / kLanes;
   const Vec zero = Vec::Zero();
   double acc = 0.0;
-  if (relaxed) {
-    Vec vacc = Vec::Zero();
-    for (size_t b = 0; b < blocks; ++b) {
-      vacc = Vec::Add(vacc, Vec::FillNaN(Vec::Load(row + b * kLanes), zero));
-    }
-    acc = Vec::ReduceAdd(vacc);
-  } else {
-    for (size_t b = 0; b < blocks; ++b) {
-      acc = Vec::FoldAdd(acc, Vec::FillNaN(Vec::Load(row + b * kLanes), zero));
-    }
+  for (size_t b = 0; b < blocks; ++b) {
+    acc = Vec::FoldAdd(acc, Vec::FillNaN(Vec::Load(row + b * kLanes), zero));
   }
   for (size_t t = blocks * kLanes; t < n; ++t) {
     acc += std::isnan(row[t]) ? 0.0 : row[t];

@@ -7,7 +7,7 @@
 // returns the records appended while it was open, re-ordered into the
 // caller-supplied lane order so that concurrently-racing portfolio lanes
 // always serialize identically — the journal is held to the kernel's bar:
-// byte-identical at any thread count, kernel on or off. Records carry no
+// byte-identical at any thread count. Records carry no
 // timestamps and no arrival-order sequence numbers for exactly that
 // reason; `seq` is assigned after ordering.
 //

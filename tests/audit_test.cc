@@ -95,11 +95,8 @@ TEST(AuditGateTest, ScopedToggleRestores) {
   EXPECT_EQ(Enabled(), before);
 }
 
-#if defined(IDXSEL_KERNEL)
-
 TEST_F(AuditFixture, CorruptArenaTupleIsCaught) {
   costmodel::WhatIfEngine engine(&w_, backend_.get());
-  if (!engine.DenseActive()) GTEST_SKIP() << "kernel disabled at runtime";
   // A duplicated attribute violates the tuple invariant the masks rely
   // on. Interning it through the public arena handle simulates a buggy
   // candidate generator slipping a malformed index into the dense path.
@@ -116,7 +113,6 @@ TEST_F(AuditFixture, CorruptArenaTupleIsCaught) {
 
 TEST_F(AuditFixture, DenseCostSlotsMatchHashedCacheBitForBit) {
   costmodel::WhatIfEngine engine(&w_, backend_.get());
-  if (!engine.DenseActive()) GTEST_SKIP() << "kernel disabled at runtime";
   // Touch a few dense slots through the public fast path, then verify the
   // auditor actually walked them (slots_checked > 0) and found twins.
   const workload::AttributeId a = w_.query(0).attributes.front();
@@ -130,8 +126,6 @@ TEST_F(AuditFixture, DenseCostSlotsMatchHashedCacheBitForBit) {
   EXPECT_TRUE(report.ok()) << report.Summary();
   EXPECT_GE(report.slots_checked, posting.size());
 }
-
-#endif  // IDXSEL_KERNEL
 
 }  // namespace
 }  // namespace idxsel::audit

@@ -331,6 +331,36 @@ TEST(RecursiveTest, ReconfigurationCostsDiscourageChurn) {
   }
 }
 
+TEST(RecursiveTest, ReconfigurationStepObjectiveDropMatchesRatio) {
+  // Eq. (3) with a drop cost: re-creating an index of the existing
+  // selection saves its drop, morphing one away incurs it. The step
+  // criterion must price exactly what the traced objective F + R charges,
+  // so every step's objective drop equals ratio x memory_delta.
+  TestEnv s;
+  const RecursiveResult fresh = SelectRecursive(*s.engine, s.Options(0.2));
+  ASSERT_FALSE(fresh.selection.empty());
+
+  costmodel::ReconfigurationParams params;
+  params.drop_cost =
+      0.05 * s.engine->WorkloadCost(costmodel::IndexConfig{});
+  const costmodel::ReconfigurationModel reconfig(s.engine.get(), params);
+  RecursiveOptions options = s.Options(0.2);
+  options.existing = &fresh.selection;
+  options.reconfiguration = &reconfig;
+  const RecursiveResult rerun = SelectRecursive(*s.engine, options);
+  ASSERT_FALSE(rerun.trace.empty());
+  size_t recreated = 0;
+  for (const ConstructionStep& step : rerun.trace) {
+    ASSERT_TRUE(step.kind == StepKind::kNewSingle ||
+                step.kind == StepKind::kAppend);
+    if (fresh.selection.Contains(step.after)) ++recreated;
+    const double drop = step.objective_before - step.objective_after;
+    EXPECT_NEAR(drop, step.ratio * step.memory_delta, 1e-9 * std::abs(drop))
+        << step.after.ToString();
+  }
+  EXPECT_GT(recreated, 0u);  // the drop term was actually exercised
+}
+
 TEST(RecursiveTest, NearOptimalOnTractableInstances) {
   // Compare against CoPhy with the exhaustive candidate set (the paper's
   // optimality reference) on a small instance; H6 should be within a few

@@ -282,8 +282,7 @@ TEST_F(MeasuredFixture, IndexMemoryPositiveAndWidthMonotone) {
 }
 
 TEST_F(MeasuredFixture, WorksBehindWhatIfEngine) {
-  costmodel::WhatIfEngine engine(&w_, source_.get(),
-                                 /*canonicalize_keys=*/true);
+  costmodel::WhatIfEngine engine(&w_, source_.get());
   costmodel::IndexConfig config;
   config.Insert(costmodel::Index(w_.query(0).attributes.front()));
   const double cost = engine.WorkloadCost(config);

@@ -1,6 +1,6 @@
 // Selection-journal correctness: the provenance records behind every
-// Recommendation must be byte-identical at any thread count, kernel on
-// or off (schema idxsel.journal.v1, doc/observability.md). The suite
+// Recommendation must be byte-identical at any thread count (schema
+// idxsel.journal.v1, doc/observability.md). The suite
 // pins that contract for H6, the advisor portfolio, and the CoPhy/MIP
 // lane, checks that sanitized what-if answers are journaled as
 // rejections under a chaos backend, and exercises Explain() in every
@@ -22,10 +22,6 @@
 #include "obs/journal.h"
 #include "rt/fault_injection.h"
 #include "workload/scalable_generator.h"
-
-#if defined(IDXSEL_KERNEL)
-#include "kernel/kernel.h"
-#endif
 
 namespace idxsel {
 namespace {
@@ -76,42 +72,34 @@ std::string JournalBytes(Env& env, AdvisorOptions options) {
   return rec.ok() ? obs::JournalToJsonl(rec->journal) : std::string();
 }
 
-/// Runs `options` at threads {1, 8} x kernel {on, off} and demands
-/// byte-identical journal exports across all four legs.
+/// Runs `options` at threads {1, 8} and demands byte-identical journal
+/// exports across both legs.
 void CheckJournalInvariant(Env& env, AdvisorOptions options,
                            const char* what) {
   ScopedJournal journal;
   std::string reference;
   bool have_reference = false;
-  for (const bool kernel_on : {true, false}) {
-#if defined(IDXSEL_KERNEL)
-    kernel::ScopedKernelEnabled kernel_scope(kernel_on);
-#else
-    if (kernel_on) continue;  // only the off leg exists in this build
-#endif
-    for (const size_t threads : {1u, 8u}) {
-      options.threads = threads;
-      const std::string bytes = JournalBytes(env, options);
+  for (const size_t threads : {1u, 8u}) {
+    options.threads = threads;
+    const std::string bytes = JournalBytes(env, options);
 #if defined(IDXSEL_OBS)
-      EXPECT_FALSE(bytes.empty())
-          << what << ": journal empty with journaling enabled";
+    EXPECT_FALSE(bytes.empty())
+        << what << ": journal empty with journaling enabled";
 #else
-      EXPECT_TRUE(bytes.empty())
-          << what << ": obs-off build must produce empty journals";
+    EXPECT_TRUE(bytes.empty())
+        << what << ": obs-off build must produce empty journals";
 #endif
-      if (!have_reference) {
-        reference = bytes;
-        have_reference = true;
-        continue;
-      }
-      EXPECT_EQ(bytes, reference)
-          << what << ": journal drifted at threads=" << threads
-          << " kernel=" << (kernel_on ? "on" : "off");
+    if (!have_reference) {
+      reference = bytes;
+      have_reference = true;
+      continue;
     }
+    EXPECT_EQ(bytes, reference)
+        << what << ": journal drifted at threads=" << threads;
   }
 }
 
-TEST(JournalDeterminismTest, H6ByteIdenticalAcrossThreadsAndKernel) {
+TEST(JournalDeterminismTest, H6ByteIdenticalAcrossThreads) {
   Env env;
   AdvisorOptions options;
   options.strategy = StrategyKind::kRecursive;
@@ -119,7 +107,7 @@ TEST(JournalDeterminismTest, H6ByteIdenticalAcrossThreadsAndKernel) {
   CheckJournalInvariant(env, options, "h6");
 }
 
-TEST(JournalDeterminismTest, PortfolioByteIdenticalAcrossThreadsAndKernel) {
+TEST(JournalDeterminismTest, PortfolioByteIdenticalAcrossThreads) {
   Env env;
   AdvisorOptions options;
   options.strategy = StrategyKind::kRecursive;
@@ -129,7 +117,7 @@ TEST(JournalDeterminismTest, PortfolioByteIdenticalAcrossThreadsAndKernel) {
   CheckJournalInvariant(env, options, "portfolio");
 }
 
-TEST(JournalDeterminismTest, CophyMipByteIdenticalAcrossThreadsAndKernel) {
+TEST(JournalDeterminismTest, CophyMipByteIdenticalAcrossThreads) {
   Env env(2, 8, 16);  // small enough for an exact solve on every leg
   AdvisorOptions options;
   options.strategy = StrategyKind::kCophy;

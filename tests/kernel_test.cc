@@ -1,38 +1,21 @@
-// Equivalence suite for idxsel::kernel: the flat cost-evaluation kernel
-// (interned indexes, attribute masks, inverted posting lists, dense
-// delta-costed H6 steps) is a pure performance layer. Its hard contract —
-// see doc/cost_model.md ("The flat evaluation kernel") — is that every
-// recommendation, construction trace, what-if accounting figure, and
-// shared telemetry counter is bit-identical with the kernel on and off,
-// at every thread count, for every strategy, including under fault
-// injection. Comparisons therefore use exact equality on doubles
-// throughout, exactly like determinism_test.cc.
-//
-// The kernel-specific counters (idxsel.kernel.*) are the one sanctioned
-// difference: they are definitionally zero when the kernel is off, so the
-// report comparison excludes that prefix (and the scheduler-dependent
-// steal counter) and a dedicated test asserts they are populated when the
-// kernel is on.
-//
-// The whole file also compiles and passes under -DIDXSEL_ENABLE_KERNEL=OFF
-// (the escape hatch): ScopedKernelEnabled still exists, both runs take the
-// legacy path, and every equality holds trivially.
+// Tests for idxsel::kernel as wired into the what-if engine and the H6
+// selector: the dense id-addressed accessors answer exactly like their
+// keyed twins (values and cache accounting), interning round-trips, and
+// the kernel's own telemetry (idxsel.kernel.*) is populated by H6 runs and
+// independent of the thread count. Selection-level correctness of the
+// dense H6 path is checked against an independent plain Algorithm 1 in
+// tests/reference_test.cc.
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <map>
 #include <memory>
 #include <optional>
-#include <string>
-#include <tuple>
 #include <vector>
 
 #include "advisor/advisor.h"
 #include "costmodel/cost_model.h"
 #include "costmodel/what_if.h"
 #include "kernel/kernel.h"
-#include "rt/fault_injection.h"
 #include "workload/scalable_generator.h"
 
 namespace idxsel {
@@ -41,11 +24,9 @@ namespace {
 using advisor::AdvisorOptions;
 using advisor::Recommendation;
 using advisor::StrategyKind;
-using advisor::StrategyName;
 using costmodel::CostModel;
 using costmodel::ModelBackend;
 using costmodel::WhatIfEngine;
-using costmodel::WhatIfStats;
 
 struct Env {
   workload::Workload w;
@@ -65,284 +46,20 @@ struct Env {
   }
 };
 
-/// One Recommend() run with the kernel runtime switch pinned, plus the
-/// engine- and backend-side accounting the contract covers.
-struct Outcome {
-  Recommendation rec;
-  WhatIfStats engine_stats;
-};
+// --------------------------------------------------------- kernel telemetry
 
-std::optional<Outcome> RunWith(Env& env, AdvisorOptions options,
-                               bool kernel_on) {
-  kernel::ScopedKernelEnabled guard(kernel_on);
+#if defined(IDXSEL_OBS)
+/// One Recommend() run on a fresh engine.
+std::optional<Recommendation> RunAdvisor(Env& env,
+                                         const AdvisorOptions& options) {
   WhatIfEngine engine(&env.w, env.backend.get());
   const Result<Recommendation> rec = advisor::Recommend(engine, options);
   EXPECT_TRUE(rec.ok()) << rec.status().ToString();
   if (!rec.ok()) return std::nullopt;
-  return Outcome{*rec, engine.stats()};
+  return *rec;
 }
 
-/// Counter deltas that must match exactly between kernel-on and
-/// kernel-off runs: everything except the kernel's own counters (zero by
-/// definition when it is off) and, under threads > 1, the
-/// scheduler-dependent ones — work-steal counts and the MIP search-size
-/// tallies, whose node/cutoff totals depend on which lane improves the
-/// shared bound first (the determinism contract covers the *solution*,
-/// not the search-tree size; see doc/parallelism.md).
-std::map<std::string, uint64_t> ComparableCounters(
-    const obs::RunReport& report, size_t threads) {
-  std::map<std::string, uint64_t> out;
-  for (const auto& [name, value] : report.metrics.counters) {
-    if (name.rfind("idxsel.kernel.", 0) == 0) continue;
-    if (name == "idxsel.exec.steals") continue;
-    if (threads > 1 &&
-        (name == "idxsel.mip.nodes" || name == "idxsel.mip.bound_cutoffs" ||
-         name == "idxsel.mip.incumbent_updates")) {
-      continue;
-    }
-    out.emplace(name, value);
-  }
-  return out;
-}
-
-void ExpectSameOutcome(const Outcome& on, const Outcome& off,
-                       const std::string& label, size_t threads = 1) {
-  EXPECT_TRUE(on.rec.selection == off.rec.selection) << label;
-  EXPECT_EQ(on.rec.cost_before, off.rec.cost_before) << label;
-  EXPECT_EQ(on.rec.cost_after, off.rec.cost_after) << label;
-  EXPECT_EQ(on.rec.memory, off.rec.memory) << label;
-  EXPECT_EQ(on.rec.budget, off.rec.budget) << label;
-  EXPECT_EQ(on.rec.status.code(), off.rec.status.code()) << label;
-  EXPECT_EQ(on.rec.executed_strategy, off.rec.executed_strategy) << label;
-  EXPECT_EQ(on.rec.whatif_calls, off.rec.whatif_calls) << label;
-
-  // The committed construction trace, step by step.
-  ASSERT_EQ(on.rec.trace.size(), off.rec.trace.size()) << label;
-  for (size_t s = 0; s < on.rec.trace.size(); ++s) {
-    EXPECT_TRUE(on.rec.trace[s].after == off.rec.trace[s].after)
-        << label << " step " << s;
-    EXPECT_EQ(on.rec.trace[s].kind, off.rec.trace[s].kind)
-        << label << " step " << s;
-    EXPECT_EQ(on.rec.trace[s].ratio, off.rec.trace[s].ratio)
-        << label << " step " << s;
-    EXPECT_EQ(on.rec.trace[s].objective_after, off.rec.trace[s].objective_after)
-        << label << " step " << s;
-  }
-
-  // Engine accounting: the dense fast path must count exactly like the
-  // hashed cache it fronts (a dense hit is a cache hit on a key the
-  // hashed run also hit — see the InheritRow invariant in
-  // doc/cost_model.md).
-  EXPECT_EQ(on.engine_stats.calls, off.engine_stats.calls) << label;
-  EXPECT_EQ(on.engine_stats.cache_hits, off.engine_stats.cache_hits) << label;
-  EXPECT_EQ(on.engine_stats.skipped_inapplicable,
-            off.engine_stats.skipped_inapplicable)
-      << label;
-  EXPECT_EQ(on.engine_stats.sanitized, off.engine_stats.sanitized) << label;
-
-  // Shared telemetry: every counter outside idxsel.kernel.* agrees.
-  EXPECT_EQ(ComparableCounters(on.rec.report, threads),
-            ComparableCounters(off.rec.report, threads))
-      << label;
-}
-
-void CheckKernelEquivalence(Env& env, AdvisorOptions options,
-                            const std::string& what) {
-  for (size_t threads : {1u, 4u}) {
-    options.threads = threads;
-    const std::string label = what + " threads=" + std::to_string(threads);
-    const auto on = RunWith(env, options, /*kernel_on=*/true);
-    const auto off = RunWith(env, options, /*kernel_on=*/false);
-    ASSERT_TRUE(on.has_value() && off.has_value()) << label;
-    ExpectSameOutcome(*on, *off, label, threads);
-  }
-}
-
-// --------------------------------------------------- strategies x threads
-
-class StrategyEquivalenceTest
-    : public ::testing::TestWithParam<StrategyKind> {};
-
-TEST_P(StrategyEquivalenceTest, BitIdenticalKernelOnOff) {
-  Env env;
-  AdvisorOptions options;
-  options.strategy = GetParam();
-  options.candidate_limit = 60;
-  CheckKernelEquivalence(env, options, StrategyName(GetParam()));
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllStrategies, StrategyEquivalenceTest,
-    ::testing::Values(StrategyKind::kRecursive, StrategyKind::kH1,
-                      StrategyKind::kH2, StrategyKind::kH3,
-                      StrategyKind::kH4, StrategyKind::kH4Skyline,
-                      StrategyKind::kH5, StrategyKind::kCophy));
-
-// ------------------------------------------------------------ H6 variants
-
-TEST(KernelEquivalenceTest, H6WithPairSteps) {
-  // Pair moves are evaluated through the legacy path even in kernel mode
-  // (they intern their result for commit); the mixed rounds must still be
-  // bit-identical.
-  Env env;
-  AdvisorOptions options;
-  options.strategy = StrategyKind::kRecursive;
-  options.recursive.pair_steps = true;
-  options.recursive.n_best_singles = 10;
-  CheckKernelEquivalence(env, options, "H6 pair_steps");
-}
-
-TEST(KernelEquivalenceTest, H6MultiIndexEval) {
-  // multi_index_eval disables the kernel fast path (use_kernel_ gate);
-  // this pins the gate: flipping the runtime switch must be a no-op.
-  Env env;
-  AdvisorOptions options;
-  options.strategy = StrategyKind::kRecursive;
-  options.recursive.multi_index_eval = true;
-  CheckKernelEquivalence(env, options, "H6 multi_index_eval");
-}
-
-TEST(KernelEquivalenceTest, H6TightBudgetExercisesSwapRepair) {
-  // A small budget forces prune/swap repair steps, covering the
-  // selected-ids resync paths in kernel mode.
-  Env env;
-  AdvisorOptions options;
-  options.strategy = StrategyKind::kRecursive;
-  options.budget_fraction = 0.05;
-  CheckKernelEquivalence(env, options, "H6 tight budget");
-}
-
-TEST(KernelEquivalenceTest, PortfolioRace) {
-  Env env;
-  AdvisorOptions options;
-  options.strategy = StrategyKind::kRecursive;
-  options.portfolio = {StrategyKind::kH4, StrategyKind::kH5};
-  options.candidate_limit = 60;
-  CheckKernelEquivalence(env, options, "portfolio");
-}
-
-// ------------------------------------------------------------ chaos matrix
-
-/// Same deterministic fault mixes as robustness_test.cc's chaos matrix.
-rt::FaultInjectionOptions ChaosOptions(uint64_t seed) {
-  rt::FaultInjectionOptions fopts;
-  fopts.seed = seed;
-  fopts.nan_probability = 0.06 * static_cast<double>(seed % 3);
-  fopts.inf_probability = 0.05 * static_cast<double>((seed / 3) % 3);
-  fopts.negative_probability = 0.05 * static_cast<double>((seed / 9) % 3);
-  fopts.fail_after_calls = 20 * seed;
-  fopts.fail_burst = seed % 6;
-  fopts.healthy_calls = seed % 4;
-  return fopts;
-}
-
-struct ChaosOutcome {
-  Recommendation rec;
-  WhatIfStats engine_stats;
-  rt::FaultInjectionStats backend_stats;
-};
-
-std::optional<ChaosOutcome> RunChaos(uint64_t seed, StrategyKind strategy,
-                                     bool kernel_on) {
-  Env env(2, 10, 20, seed);
-  rt::FaultInjectingBackend chaos(env.backend.get(), ChaosOptions(seed));
-  kernel::ScopedKernelEnabled guard(kernel_on);
-  WhatIfEngine engine(&env.w, &chaos);
-
-  AdvisorOptions options;
-  options.strategy = strategy;
-  options.threads = 1;  // serial + unbounded deadline: fully deterministic
-  options.budget_fraction = 0.25;
-  options.candidate_limit = 40;
-  options.solver.mip_gap = 0.05;
-
-  const Result<Recommendation> rec = advisor::Recommend(engine, options);
-  EXPECT_TRUE(rec.ok()) << rec.status().ToString();
-  if (!rec.ok()) return std::nullopt;
-  return ChaosOutcome{*rec, engine.stats(), chaos.stats()};
-}
-
-class ChaosEquivalenceTest
-    : public ::testing::TestWithParam<std::tuple<StrategyKind, uint64_t>> {};
-
-TEST_P(ChaosEquivalenceTest, SerialBitIdenticalUnderFaults) {
-  // The fault injector advances one PRNG per backend call, so fault
-  // *placement* is a function of the backend call sequence. Serial runs
-  // with no deadline are therefore the strongest equivalence probe we
-  // have: if the kernel reorders, adds, or drops even one backend call,
-  // the injected faults land elsewhere and the recommendations diverge.
-  const StrategyKind strategy = std::get<0>(GetParam());
-  const uint64_t seed = std::get<1>(GetParam());
-  const std::string label =
-      std::string(StrategyName(strategy)) + " seed=" + std::to_string(seed);
-
-  const auto on = RunChaos(seed, strategy, /*kernel_on=*/true);
-  const auto off = RunChaos(seed, strategy, /*kernel_on=*/false);
-  ASSERT_TRUE(on.has_value() && off.has_value()) << label;
-  ExpectSameOutcome(Outcome{on->rec, on->engine_stats},
-                    Outcome{off->rec, off->engine_stats}, label);
-
-  // Backend call-order accounting: same number of calls consumed the
-  // same PRNG stream, so every injection tally matches exactly.
-  EXPECT_EQ(on->backend_stats.calls, off->backend_stats.calls) << label;
-  EXPECT_EQ(on->backend_stats.injected_nan, off->backend_stats.injected_nan)
-      << label;
-  EXPECT_EQ(on->backend_stats.injected_inf, off->backend_stats.injected_inf)
-      << label;
-  EXPECT_EQ(on->backend_stats.injected_negative,
-            off->backend_stats.injected_negative)
-      << label;
-  EXPECT_EQ(on->backend_stats.injected_outage,
-            off->backend_stats.injected_outage)
-      << label;
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    StrategiesTimesSeeds, ChaosEquivalenceTest,
-    ::testing::Combine(::testing::Values(StrategyKind::kRecursive,
-                                         StrategyKind::kH4Skyline,
-                                         StrategyKind::kCophy),
-                       ::testing::Range<uint64_t>(1, 14)));
-
-TEST(ChaosEquivalenceTest, ParallelStructuralUnderFaultsAndDeadline) {
-  // With four lanes and a live deadline, fault placement and expiry are
-  // scheduler-dependent, so bit-identity is not required — but the kernel
-  // path must uphold the same structural guarantees as the legacy one
-  // (robustness_test.cc's chaos contract): no crash, no garbage, a
-  // feasible incumbent, degraded flagged when the backend misbehaved.
-  for (const bool kernel_on : {true, false}) {
-    for (uint64_t seed = 1; seed <= 5; ++seed) {
-      Env env(2, 10, 20, seed);
-      rt::FaultInjectingBackend chaos(env.backend.get(), ChaosOptions(seed));
-      kernel::ScopedKernelEnabled guard(kernel_on);
-      WhatIfEngine engine(&env.w, &chaos);
-
-      AdvisorOptions options;
-      options.strategy = StrategyKind::kRecursive;
-      options.threads = 4;
-      options.budget_fraction = 0.25;
-      options.time_limit_seconds = 0.010;
-
-      const Result<Recommendation> rec = advisor::Recommend(engine, options);
-      ASSERT_TRUE(rec.ok())
-          << "kernel=" << kernel_on << " seed=" << seed << ": "
-          << rec.status().ToString();
-      EXPECT_TRUE(std::isfinite(rec->cost_after)) << "seed=" << seed;
-      EXPECT_TRUE(std::isfinite(rec->memory)) << "seed=" << seed;
-      EXPECT_GE(rec->cost_after, 0.0);
-      EXPECT_LE(rec->memory, rec->budget + 1e-6)
-          << "kernel=" << kernel_on << " seed=" << seed;
-      if (!engine.health().ok()) {
-        EXPECT_TRUE(rec->degraded);
-      }
-    }
-  }
-}
-
-// --------------------------------------------------------- kernel telemetry
-
-#if defined(IDXSEL_KERNEL) && defined(IDXSEL_OBS)
-TEST(KernelTelemetryTest, CountersPopulatedWhenKernelOn) {
+TEST(KernelTelemetryTest, CountersPopulated) {
   // A workload/budget shape that reliably commits append (morph) steps —
   // the mask filter only fires on multi-attribute extension rounds, where
   // some posting-list query lacks full cover of the extended index (same
@@ -353,9 +70,9 @@ TEST(KernelTelemetryTest, CountersPopulatedWhenKernelOn) {
   options.budget_fraction = 0.5;
   options.threads = 1;
 
-  const auto on = RunWith(env, options, /*kernel_on=*/true);
-  ASSERT_TRUE(on.has_value());
-  const auto& counters = on->rec.report.metrics.counters;
+  const auto rec = RunAdvisor(env, options);
+  ASSERT_TRUE(rec.has_value());
+  const auto& counters = rec->report.metrics.counters;
   // An H6 run of this size resolves thousands of costs through the dense
   // table and filters non-exploiting queries by mask; all three kernel
   // counters must show up in the run report.
@@ -368,15 +85,6 @@ TEST(KernelTelemetryTest, CountersPopulatedWhenKernelOn) {
   const auto filtered = counters.find("idxsel.kernel.filtered_queries");
   ASSERT_NE(filtered, counters.end());
   EXPECT_GT(filtered->second, 0u);
-
-  // And they are the *only* sanctioned difference: the kernel-off run
-  // reports none of them.
-  const auto off = RunWith(env, options, /*kernel_on=*/false);
-  ASSERT_TRUE(off.has_value());
-  for (const auto& [name, value] : off->rec.report.metrics.counters) {
-    EXPECT_NE(name.rfind("idxsel.kernel.", 0), 0u)
-        << name << "=" << value << " reported with kernel off";
-  }
 }
 
 TEST(KernelTelemetryTest, FilteredQueriesDeterministicAcrossThreads) {
@@ -389,14 +97,14 @@ TEST(KernelTelemetryTest, FilteredQueriesDeterministicAcrossThreads) {
   options.budget_fraction = 0.5;
 
   options.threads = 1;
-  const auto serial = RunWith(env, options, /*kernel_on=*/true);
+  const auto serial = RunAdvisor(env, options);
   ASSERT_TRUE(serial.has_value());
   options.threads = 4;
-  const auto parallel = RunWith(env, options, /*kernel_on=*/true);
+  const auto parallel = RunAdvisor(env, options);
   ASSERT_TRUE(parallel.has_value());
 
-  const auto& a = serial->rec.report.metrics.counters;
-  const auto& b = parallel->rec.report.metrics.counters;
+  const auto& a = serial->report.metrics.counters;
+  const auto& b = parallel->report.metrics.counters;
   for (const char* name :
        {"idxsel.kernel.fast_path_hits", "idxsel.kernel.fallback_lookups",
         "idxsel.kernel.filtered_queries"}) {
@@ -407,19 +115,16 @@ TEST(KernelTelemetryTest, FilteredQueriesDeterministicAcrossThreads) {
     EXPECT_EQ(sa->second, sb->second) << name;
   }
 }
-#endif  // IDXSEL_KERNEL && IDXSEL_OBS
+#endif  // IDXSEL_OBS
 
 // ------------------------------------------------------- dense engine API
 
-#if defined(IDXSEL_KERNEL)
 TEST(DenseEngineTest, DenseLookupsMatchKeyedLookups) {
   // Below the strategies: every dense accessor agrees bit-for-bit with
   // its keyed twin, on both cold and warm lookups.
   Env env;
-  kernel::ScopedKernelEnabled guard(true);
   WhatIfEngine dense_engine(&env.w, env.backend.get());
   WhatIfEngine keyed_engine(&env.w, env.backend.get());
-  ASSERT_TRUE(dense_engine.DenseActive());
 
   for (workload::AttributeId a = 0; a < env.w.num_attributes(); a += 3) {
     const costmodel::Index k(a);
@@ -445,15 +150,12 @@ TEST(DenseEngineTest, DenseLookupsMatchKeyedLookups) {
 
 TEST(DenseEngineTest, MaterializeRoundTripsInterning) {
   Env env;
-  kernel::ScopedKernelEnabled guard(true);
   WhatIfEngine engine(&env.w, env.backend.get());
-  ASSERT_TRUE(engine.DenseActive());
   const costmodel::Index k(std::vector<workload::AttributeId>{4, 1, 9});
   const kernel::IndexId id = engine.InternIndex(k);
   EXPECT_TRUE(engine.MaterializeIndex(id) == k);
   EXPECT_EQ(engine.InternIndex(k), id);  // idempotent
 }
-#endif  // IDXSEL_KERNEL
 
 }  // namespace
 }  // namespace idxsel

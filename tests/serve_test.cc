@@ -4,8 +4,8 @@
 // incremental re-selection (fewer what-if calls than a cold run), and the
 // chaos soak — kill the service at every commit-protocol point, restart,
 // and require the recovered state, epoch journal, and checkpoint to be
-// byte-identical to a run that never crashed, at threads {1,4} x kernel
-// {on,off}. Companion to doc/serve.md.
+// byte-identical to a run that never crashed, at threads {1,4}.
+// Companion to doc/serve.md.
 
 #include <gtest/gtest.h>
 
@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "costmodel/cost_model.h"
-#include "kernel/kernel.h"
 #include "rt/fault_injection.h"
 #include "serve/backoff.h"
 #include "serve/checkpoint.h"
@@ -976,17 +975,13 @@ SoakResult RunSoak(const NamedWorkload& base, const std::string& dir,
   }
 }
 
-class ChaosSoakTest
-    : public ::testing::TestWithParam<std::tuple<size_t, bool>> {};
+class ChaosSoakTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(ChaosSoakTest, KillAndRecoverIsByteIdenticalToFaultFreeRun) {
-  const size_t threads = std::get<0>(GetParam());
-  const bool kernel_on = std::get<1>(GetParam());
-  kernel::ScopedKernelEnabled scoped(kernel_on);
+  const size_t threads = GetParam();
   auto base = BaseWorkload();
 
-  const std::string tag = std::to_string(threads) +
-                          (kernel_on ? "k1" : "k0");
+  const std::string tag = std::to_string(threads);
   const SoakResult clean =
       RunSoak(base, FreshDir("soak_clean_" + tag), {}, threads);
   ASSERT_GT(clean.epoch, 0u);
@@ -1023,12 +1018,9 @@ TEST_P(ChaosSoakTest, KillAndRecoverIsByteIdenticalToFaultFreeRun) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Matrix, ChaosSoakTest,
-    ::testing::Combine(::testing::Values(size_t{1}, size_t{4}),
-                       ::testing::Bool()),
-    [](const ::testing::TestParamInfo<std::tuple<size_t, bool>>& param_info) {
-      return "Threads" + std::to_string(std::get<0>(param_info.param)) +
-             (std::get<1>(param_info.param) ? "KernelOn" : "KernelOff");
+    Matrix, ChaosSoakTest, ::testing::Values(size_t{1}, size_t{4}),
+    [](const ::testing::TestParamInfo<size_t>& param_info) {
+      return "Threads" + std::to_string(param_info.param);
     });
 
 // ------------------------------------------------------ Workload updates

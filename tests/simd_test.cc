@@ -1,17 +1,19 @@
 // Dispatch-equivalence suite for idxsel::kernel::simd: the vector layer
 // under the dense kernel is a pure performance feature, and its contract
 // (kernel/simd.h, "FP-reduction-order contract") is that the AVX2 path
-// and the scalar template produce bit-identical results in default mode —
-// so a whole selection run must be byte-identical across dispatch levels:
-// same recommendation, same construction trace, same journal bytes, same
-// engine stats(), same telemetry counters, for every strategy, thread
-// count, and kernel switch position.
+// and the scalar template produce bit-identical results — so a whole
+// selection run must be byte-identical across dispatch levels: same
+// recommendation, same construction trace, same journal bytes, same
+// engine stats(), same telemetry counters, for every strategy and thread
+// count.
 //
 // Two halves:
 //
-//   * the end-to-end matrix — all 8 strategies x threads {1,4} x kernel
-//     {on,off} x dispatch {native,forced-scalar}, plus a serial
-//     fault-injection probe (the strongest call-order detector we have);
+//   * the end-to-end matrix — all 8 strategies x threads {1,4} x
+//     dispatch {native,forced-scalar}, the H6 option variants (pair
+//     steps, Remark-2 evaluation, swap repair, portfolio race), plus
+//     serial fault-injection probes over the chaos matrix's fault mixes
+//     (the strongest call-order detector we have);
 //   * op-level fuzz — DenseCostTable rows of every length 0..67 with
 //     random NaN patterns, plus raw reduction/filter/gather blocks,
 //     compared bit-for-bit between both dispatch paths and an
@@ -19,8 +21,7 @@
 //
 // On a host without AVX2 (or a binary built without the AVX2 TU) both
 // dispatch legs run the scalar template and every equality holds
-// trivially — same degradation story as kernel_test.cc under
-// -DIDXSEL_ENABLE_KERNEL=OFF.
+// trivially.
 
 #include <gtest/gtest.h>
 
@@ -96,8 +97,7 @@ struct Outcome {
 };
 
 std::optional<Outcome> RunWith(Env& env, AdvisorOptions options,
-                               bool kernel_on, bool force_scalar) {
-  kernel::ScopedKernelEnabled kguard(kernel_on);
+                               bool force_scalar) {
   simd::ScopedForceScalar sguard(force_scalar);
   ScopedJournal journal;
   WhatIfEngine engine(&env.w, env.backend.get());
@@ -107,13 +107,13 @@ std::optional<Outcome> RunWith(Env& env, AdvisorOptions options,
   return Outcome{*rec, engine.stats()};
 }
 
-/// Counters that must match between the two dispatch runs. Unlike
-/// kernel_test.cc's kernel-on/off comparison, the kernel's own counters
-/// stay IN here: both runs sit on the same side of the kernel switch, so
-/// fast-path hits, fallback lookups, and mask-filtered query counts must
-/// agree exactly — FilterMasks keeping a different slot set under AVX2
-/// would surface right here. Only the scheduler-dependent counters are
-/// excluded under threads > 1 (same list and reasoning as kernel_test.cc).
+/// Counters that must match between the two dispatch runs. The kernel's
+/// own counters stay in: fast-path hits, fallback lookups, and
+/// mask-filtered query counts must agree exactly — FilterMasks keeping a
+/// different slot set under AVX2 would surface right here. Only the
+/// scheduler-dependent counters are excluded under threads > 1: work
+/// steals and the MIP search-size tallies, whose node/cutoff totals depend
+/// on which lane improves the shared bound first (doc/parallelism.md).
 std::map<std::string, uint64_t> ComparableCounters(
     const obs::RunReport& report, size_t threads) {
   std::map<std::string, uint64_t> out;
@@ -176,7 +176,7 @@ void ExpectSameOutcome(const Outcome& native, const Outcome& scalar,
       << label;
 }
 
-// ----------------------------------- strategies x threads x kernel matrix
+// ------------------------------------------- strategies x threads matrix
 
 class DispatchEquivalenceTest
     : public ::testing::TestWithParam<StrategyKind> {};
@@ -186,19 +186,14 @@ TEST_P(DispatchEquivalenceTest, BitIdenticalAcrossDispatchLevels) {
   AdvisorOptions options;
   options.strategy = GetParam();
   options.candidate_limit = 60;
-  for (const bool kernel_on : {true, false}) {
-    for (const size_t threads : {1u, 4u}) {
-      options.threads = threads;
-      const std::string label = std::string(StrategyName(GetParam())) +
-                                " kernel=" + (kernel_on ? "on" : "off") +
-                                " threads=" + std::to_string(threads);
-      const auto native =
-          RunWith(env, options, kernel_on, /*force_scalar=*/false);
-      const auto scalar =
-          RunWith(env, options, kernel_on, /*force_scalar=*/true);
-      ASSERT_TRUE(native.has_value() && scalar.has_value()) << label;
-      ExpectSameOutcome(*native, *scalar, label, threads);
-    }
+  for (const size_t threads : {1u, 4u}) {
+    options.threads = threads;
+    const std::string label = std::string(StrategyName(GetParam())) +
+                              " threads=" + std::to_string(threads);
+    const auto native = RunWith(env, options, /*force_scalar=*/false);
+    const auto scalar = RunWith(env, options, /*force_scalar=*/true);
+    ASSERT_TRUE(native.has_value() && scalar.has_value()) << label;
+    ExpectSameOutcome(*native, *scalar, label, threads);
   }
 }
 
@@ -214,9 +209,8 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(DispatchChaosTest, SerialBitIdenticalUnderFaults) {
   // The fault injector advances one PRNG per backend call; if the batched
   // what-if path consults the backend at all (it must not — cold units
-  // demote to the legacy loop *before* any accounting), fault placement
-  // shifts and the runs diverge. Same probe kernel_test.cc aims at the
-  // kernel switch, aimed here at the dispatch switch.
+  // demote to the per-call loop *before* any accounting), fault placement
+  // shifts and the runs diverge.
   for (const uint64_t seed : {3u, 7u, 11u}) {
     Env env(2, 10, 20, seed);
     rt::FaultInjectionOptions fopts;
@@ -237,7 +231,6 @@ TEST(DispatchChaosTest, SerialBitIdenticalUnderFaults) {
     uint64_t backend_calls[2] = {0, 0};
     for (const int pin : {0, 1}) {
       rt::FaultInjectingBackend chaos(env.backend.get(), fopts);
-      kernel::ScopedKernelEnabled kguard(true);
       simd::ScopedForceScalar sguard(pin == 1);
       ScopedJournal journal;
       WhatIfEngine engine(&env.w, &chaos);
@@ -250,6 +243,125 @@ TEST(DispatchChaosTest, SerialBitIdenticalUnderFaults) {
     ExpectSameOutcome(*runs[0], *runs[1], label);
     EXPECT_EQ(backend_calls[0], backend_calls[1]) << label;
   }
+}
+
+// ------------------------------------------------ chaos matrix probe
+
+/// The chaos-matrix fault mixes of robustness_test.cc (without its
+/// latency seed: injected stalls only matter under a deadline).
+rt::FaultInjectionOptions ChaosOptions(uint64_t seed) {
+  rt::FaultInjectionOptions fopts;
+  fopts.seed = seed;
+  fopts.nan_probability = 0.06 * static_cast<double>(seed % 3);
+  fopts.inf_probability = 0.05 * static_cast<double>((seed / 3) % 3);
+  fopts.negative_probability = 0.05 * static_cast<double>((seed / 9) % 3);
+  fopts.fail_after_calls = 20 * seed;
+  fopts.fail_burst = seed % 6;
+  fopts.healthy_calls = seed % 4;
+  return fopts;
+}
+
+class DispatchChaosMatrixTest
+    : public ::testing::TestWithParam<std::tuple<StrategyKind, uint64_t>> {};
+
+TEST_P(DispatchChaosMatrixTest, SerialBitIdenticalUnderFaults) {
+  // The same call-order probe as DispatchChaosTest, across the chaos
+  // matrix's fault mixes and for the strategies whose candidate
+  // generation and what-if batches take the dense path: H6, the H4
+  // skyline, and CoPhy's MIP. Serial and without a deadline, fault
+  // placement is a function of the backend call sequence alone.
+  const StrategyKind strategy = std::get<0>(GetParam());
+  const uint64_t seed = std::get<1>(GetParam());
+  const std::string label =
+      std::string(StrategyName(strategy)) + " seed=" + std::to_string(seed);
+
+  Env env(2, 10, 20, seed);
+  AdvisorOptions options;
+  options.strategy = strategy;
+  options.threads = 1;
+  options.budget_fraction = 0.25;
+  options.candidate_limit = 40;
+  options.solver.mip_gap = 0.05;
+
+  std::optional<Outcome> runs[2];
+  rt::FaultInjectionStats injected[2];
+  for (const int pin : {0, 1}) {
+    rt::FaultInjectingBackend chaos(env.backend.get(), ChaosOptions(seed));
+    simd::ScopedForceScalar sguard(pin == 1);
+    ScopedJournal journal;
+    WhatIfEngine engine(&env.w, &chaos);
+    const Result<Recommendation> rec = advisor::Recommend(engine, options);
+    ASSERT_TRUE(rec.ok()) << label << ": " << rec.status().ToString();
+    runs[pin] = Outcome{*rec, engine.stats()};
+    injected[pin] = chaos.stats();
+  }
+  ExpectSameOutcome(*runs[0], *runs[1], label);
+
+  // Same calls consumed the same PRNG stream, so every injection tally
+  // matches exactly.
+  EXPECT_EQ(injected[0].calls, injected[1].calls) << label;
+  EXPECT_EQ(injected[0].injected_nan, injected[1].injected_nan) << label;
+  EXPECT_EQ(injected[0].injected_inf, injected[1].injected_inf) << label;
+  EXPECT_EQ(injected[0].injected_negative, injected[1].injected_negative)
+      << label;
+  EXPECT_EQ(injected[0].injected_outage, injected[1].injected_outage)
+      << label;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    StrategiesTimesSeeds, DispatchChaosMatrixTest,
+    ::testing::Combine(::testing::Values(StrategyKind::kRecursive,
+                                         StrategyKind::kH4Skyline,
+                                         StrategyKind::kCophy),
+                       ::testing::Range<uint64_t>(1, 14)));
+
+// ------------------------------------------------------ H6 option variants
+
+/// Native vs forced-scalar at threads {1, 4} for one option set.
+void CheckDispatchEquivalence(AdvisorOptions options, const std::string& what) {
+  Env env;
+  for (const size_t threads : {1u, 4u}) {
+    options.threads = threads;
+    const std::string label = what + " threads=" + std::to_string(threads);
+    const auto native = RunWith(env, options, /*force_scalar=*/false);
+    const auto scalar = RunWith(env, options, /*force_scalar=*/true);
+    ASSERT_TRUE(native.has_value() && scalar.has_value()) << label;
+    ExpectSameOutcome(*native, *scalar, label, threads);
+  }
+}
+
+TEST(DispatchH6VariantTest, PairSteps) {
+  // Pair rounds mix dense single/append moves with keyed pair moves.
+  AdvisorOptions options;
+  options.strategy = StrategyKind::kRecursive;
+  options.recursive.pair_steps = true;
+  options.recursive.n_best_singles = 10;
+  CheckDispatchEquivalence(options, "H6 pair_steps");
+}
+
+TEST(DispatchH6VariantTest, MultiIndexEval) {
+  // Remark 2's evaluation path: configuration costs instead of rows.
+  AdvisorOptions options;
+  options.strategy = StrategyKind::kRecursive;
+  options.recursive.multi_index_eval = true;
+  CheckDispatchEquivalence(options, "H6 multi_index_eval");
+}
+
+TEST(DispatchH6VariantTest, TightBudgetExercisesSwapRepair) {
+  // A small budget forces prune/swap repair steps, which rebuild the
+  // dense best/second-best state from the selected ids.
+  AdvisorOptions options;
+  options.strategy = StrategyKind::kRecursive;
+  options.budget_fraction = 0.05;
+  CheckDispatchEquivalence(options, "H6 tight budget");
+}
+
+TEST(DispatchH6VariantTest, PortfolioRace) {
+  AdvisorOptions options;
+  options.strategy = StrategyKind::kRecursive;
+  options.portfolio = {StrategyKind::kH4, StrategyKind::kH5};
+  options.candidate_limit = 60;
+  CheckDispatchEquivalence(options, "portfolio");
 }
 
 // ------------------------------------------------------- op-level fuzz
@@ -489,35 +601,6 @@ TEST(SimdDispatchTest, ForceScalarDemotesActiveLevel) {
   EXPECT_NE(simd::LevelName(simd::Level::kAvx2), nullptr);
   EXPECT_STRNE(simd::LevelName(simd::Level::kScalar),
                simd::LevelName(simd::Level::kAvx2));
-}
-
-TEST(SimdDispatchTest, RelaxedModeCloseButOptIn) {
-  // Relaxed reductions reassociate, so they are NOT bit-identical — only
-  // close. This pins both halves: the default path must not silently
-  // adopt the relaxed shape, and the relaxed shape must still be a
-  // correct sum up to reassociation error.
-  constexpr size_t kN = 63;
-  std::vector<double> row(kN);
-  uint64_t rng = 0x5e1ec7ull;
-  for (size_t t = 0; t < kN; ++t) {
-    const uint64_t r = Mix64(rng);
-    row[t] = (r & 3u) == 0 ? std::numeric_limits<double>::quiet_NaN()
-                           : static_cast<double>(r % 10007) / 128.0;
-  }
-  const double exact = RefSum(row.data(), kN);
-  {
-    simd::ScopedRelaxed relaxed(false);
-    EXPECT_EQ(Bits(simd::SumSetSlots(row.data(), kN)), Bits(exact));
-  }
-  {
-    simd::ScopedRelaxed relaxed(true);
-    const double loose = simd::SumSetSlots(row.data(), kN);
-    EXPECT_NEAR(loose, exact, 1e-9 * std::abs(exact));
-    // Min has no order sensitivity, so even relaxed mode is exact.
-    EXPECT_EQ(Bits(simd::MinSetSlots(row.data(), kN)),
-              Bits(RefMin(row.data(), kN)));
-  }
-  EXPECT_FALSE(simd::Relaxed());  // scoped toggles restored
 }
 
 }  // namespace

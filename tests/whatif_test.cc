@@ -78,7 +78,7 @@ TEST_F(WhatIfFixture, InapplicableIndexDoesNotCallBackend) {
 }
 
 TEST_F(WhatIfFixture, CanonicalizationSharesEquivalentCalls) {
-  WhatIfEngine engine(&w_, backend_.get(), /*canonicalize_keys=*/true);
+  WhatIfEngine engine(&w_, backend_.get());
   // Find a query with >= 2 attributes; permutations of the fully-covered
   // prefix must hit the same cache slot.
   for (workload::QueryId j = 0; j < w_.num_queries(); ++j) {
@@ -91,22 +91,6 @@ TEST_F(WhatIfFixture, CanonicalizationSharesEquivalentCalls) {
     const double cost = engine.CostWithIndex(j, ba);
     EXPECT_EQ(engine.stats().calls, calls) << "permutation missed cache";
     EXPECT_DOUBLE_EQ(cost, model_->CostWithIndex(j, ab));
-    return;
-  }
-  FAIL() << "no multi-attribute query in the generated workload";
-}
-
-TEST_F(WhatIfFixture, NoCanonicalizationKeepsDistinctKeys) {
-  WhatIfEngine engine(&w_, backend_.get(), /*canonicalize_keys=*/false);
-  for (workload::QueryId j = 0; j < w_.num_queries(); ++j) {
-    const auto& attrs = w_.query(j).attributes;
-    if (attrs.size() < 2) continue;
-    const Index ab = Index(attrs[0]).Append(attrs[1]);
-    const Index ba = Index(attrs[1]).Append(attrs[0]);
-    engine.CostWithIndex(j, ab);
-    const uint64_t calls = engine.stats().calls;
-    engine.CostWithIndex(j, ba);
-    EXPECT_EQ(engine.stats().calls, calls + 1);
     return;
   }
   FAIL() << "no multi-attribute query in the generated workload";
