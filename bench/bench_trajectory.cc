@@ -386,8 +386,12 @@ std::string JsonDocument(const std::vector<TrajectoryPoint>& points,
                          double budget_w, int reps, uint64_t peak_rss_kb) {
   char buf[768];
   std::string out = "{\n" + SidecarHeaderJson("idxsel.bench_trajectory.v1");
-  std::snprintf(buf, sizeof buf, "  \"budget_w\": %.2f,\n  \"reps\": %d,\n",
-                budget_w, reps);
+  // Quick and full runs walk different ladders, so check-trajectory
+  // only compares documents of the same mode.
+  std::snprintf(buf, sizeof buf,
+                "  \"mode\": \"%s\",\n  \"budget_w\": %.2f,\n"
+                "  \"reps\": %d,\n",
+                FullMode() ? "full" : "quick", budget_w, reps);
   out += buf;
   out += "  \"points\": [";
   bool first = true;

@@ -314,9 +314,9 @@ AuditReport InvariantAuditor::AuditSimd() const {
   // boundary and the scalar tail.
   constexpr size_t kSizes[] = {0, 1, 2, 3, 4, 5, 7, 8, 9, 12, 31, 64, 67};
   constexpr size_t kNumQueries = 97;
-  std::vector<double> costs, cw, row, gathered;
+  std::vector<double> costs, cw, row;
   std::vector<double> best(kNumQueries), freq(kNumQueries);
-  std::vector<uint32_t> qids, slots, kept_ref, kept_got;
+  std::vector<uint32_t> qids, kept_ref, kept_got;
   std::vector<uint64_t> masks;
   for (const size_t n : kSizes) {
     ++report.ids_checked;
@@ -386,45 +386,6 @@ AuditReport InvariantAuditor::AuditSimd() const {
             " — mask compaction diverged from the reference loop");
       }
     }
-
-    // GatherRowWarm: the warm/cold verdict must match a serial NaN scan,
-    // a warm gather must round-trip every value bit-for-bit, and a cold
-    // gather must report false (out contents are unspecified).
-    slots.resize(n);
-    for (size_t t = 0; t < n; ++t) {
-      slots[t] = static_cast<uint32_t>(Mix64(rng) % (n > 0 ? n : 1));
-    }
-    bool ref_warm = true;
-    for (size_t t = 0; t < n; ++t) {
-      ref_warm = ref_warm && !std::isnan(row[slots[t]]);
-    }
-    gathered.resize(n);
-    for (int pin = 1; pin >= 0; --pin) {
-      const simd::ScopedForceScalar scoped(pin == 1);
-      const bool warm =
-          simd::GatherRowWarm(row.data(), slots.data(), n, gathered.data());
-      ++report.slots_checked;
-      if (warm != ref_warm) {
-        report.AddViolation("GatherRowWarm (n=" + std::to_string(n) + ", " +
-                            simd::LevelName(simd::ActiveLevel()) +
-                            ") returned " + (warm ? "warm" : "cold") +
-                            " but a serial NaN scan says the block is " +
-                            (ref_warm ? "warm" : "cold"));
-        continue;
-      }
-      if (warm) {
-        for (size_t t = 0; t < n; ++t) {
-          if (!SameBits(gathered[t], row[slots[t]])) {
-            report.AddViolation(
-                "GatherRowWarm (n=" + std::to_string(n) + ", " +
-                simd::LevelName(simd::ActiveLevel()) + ") slot " +
-                std::to_string(t) + " gathered " + BitsHex(gathered[t]) +
-                " instead of " + BitsHex(row[slots[t]]));
-            break;
-          }
-        }
-      }
-    }
   }
 
   // -- Live dense state: the same cross-checks over every interned row
@@ -441,10 +402,8 @@ AuditReport InvariantAuditor::AuditSimd() const {
     const auto& posting = w.queries_with(lead);
     const size_t n = posting.size();
     row.resize(n);
-    slots.clear();
     for (uint32_t slot = 0; slot < n; ++slot) {
       row[slot] = engine_->PeekDenseCost(id, slot);
-      if (!std::isnan(row[slot])) slots.push_back(slot);
     }
     CheckBothPaths(report, "SumSetSlots[dense row]", n,
                    RefSumSetSlots(row.data(), n),
@@ -470,36 +429,6 @@ AuditReport InvariantAuditor::AuditSimd() const {
             "FilterMasks over live posting masks (id=" + std::to_string(id) +
             ", " + simd::LevelName(simd::ActiveLevel()) +
             ") diverged from the serial filter");
-      }
-    }
-
-    // A gather restricted to the set slots must come back warm with
-    // every value bit-identical to the one-at-a-time peeks.
-    gathered.resize(slots.size());
-    for (int pin = 1; pin >= 0; --pin) {
-      const simd::ScopedForceScalar scoped(pin == 1);
-      const bool warm = simd::GatherRowWarm(row.data(), slots.data(),
-                                            slots.size(), gathered.data());
-      ++report.slots_checked;
-      if (!warm) {
-        report.AddViolation(
-            "GatherRowWarm over the set slots of dense row id=" +
-            std::to_string(id) + " (" +
-            simd::LevelName(simd::ActiveLevel()) +
-            ") reported cold — the NaN screen disagrees with the "
-            "serial isnan scan that chose the slots");
-        continue;
-      }
-      for (size_t t = 0; t < slots.size(); ++t) {
-        if (!SameBits(gathered[t], row[slots[t]])) {
-          report.AddViolation(
-              "GatherRowWarm over dense row id=" + std::to_string(id) +
-              " (" + simd::LevelName(simd::ActiveLevel()) + ") slot " +
-              std::to_string(slots[t]) + " gathered " +
-              BitsHex(gathered[t]) + " instead of " +
-              BitsHex(row[slots[t]]));
-          break;
-        }
       }
     }
   }

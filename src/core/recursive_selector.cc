@@ -34,6 +34,11 @@ struct SelectorMetrics {
   obs::Counter* steps_swap;
   obs::Counter* candidate_evals;
   obs::Counter* ratio_ties;
+  /// Evaluation units (an eligible single or a selected position of one
+  /// move generator) re-scored in a round, and those whose cached moves
+  /// were replayed because their table was untouched since.
+  obs::Counter* units_evaluated;
+  obs::Counter* units_reused;
   obs::Histogram* run_latency;
   /// Queries rejected by the 64-bit mask full-cover filter before any
   /// per-query work — the kernel's "posting-list-filtered" volume.
@@ -52,6 +57,9 @@ struct SelectorMetrics {
       m.candidate_evals =
           registry.GetCounter("idxsel.selector.candidate_evals");
       m.ratio_ties = registry.GetCounter("idxsel.selector.ratio_ties");
+      m.units_evaluated =
+          registry.GetCounter("idxsel.selector.units_evaluated");
+      m.units_reused = registry.GetCounter("idxsel.selector.units_reused");
       m.run_latency =
           registry.GetHistogram("idxsel.selector.run_latency_ns");
       m.kernel_filtered =
@@ -65,19 +73,24 @@ struct SelectorMetrics {
 
 namespace kernel = idxsel::kernel;
 
-/// A candidate elementary move under evaluation.
+/// A candidate elementary move, as a generator produced it. Kept small
+/// and trivially copyable: the unit caches hold every candidate of the
+/// current selection.
 struct Move {
   StepKind kind = StepKind::kNewSingle;
-  size_t selected_pos = 0;  ///< For appends: position in the selection.
+  uint32_t selected_pos = 0;  ///< For appends: position in the selection.
   /// Interned id of the resulting index. Every candidate carries one, so
   /// tie-breaks compare tuples through the arena with no Index needed.
   kernel::IndexId after_id = kernel::kInvalidIndexId;
-  Index after;              ///< Resulting index; MaterializeMove fills it
-                            ///< for the best/runner-up only.
-  double benefit = 0.0;     ///< (F+R) reduction; > 0 for eligible moves.
+  double benefit = 0.0;       ///< (F+R) reduction; > 0 for eligible moves.
   double memory_delta = 0.0;
+};
+
+/// A move Consider kept as the round's best or runner-up.
+struct Choice : Move {
   double ratio = -std::numeric_limits<double>::infinity();
   bool valid = false;
+  Index after;  ///< The resulting index; MaterializeMove fills it.
 };
 
 /// Per-attribute scratch of one append-evaluation unit: benefit
@@ -123,6 +136,35 @@ struct AppendScratch {
     return scratch;
   }
 };
+
+/// The moves of a generator that yields at most one per unit (the new
+/// singles), stored inline so a singles unit never allocates.
+class AtMostOneMove {
+ public:
+  void clear() { full_ = false; }
+  void push_back(const Move& move) {
+    move_ = move;
+    full_ = true;
+  }
+  const Move* begin() const { return &move_; }
+  const Move* end() const { return &move_ + (full_ ? 1 : 0); }
+
+ private:
+  Move move_;
+  bool full_ = false;
+};
+
+/// An evaluation unit of one move generator — an eligible single or a
+/// selected position — with the moves it produced when it was last
+/// evaluated. Re-evaluating a unit clears and refills its moves, which
+/// keep their capacity, so steady-state rounds allocate nothing.
+template <typename Moves>
+struct Unit {
+  uint64_t stamp = 0;  ///< epoch of the last evaluation; 0 = never
+  Moves moves;
+};
+using SingleUnit = Unit<AtMostOneMove>;
+using MultiUnit = Unit<std::vector<Move>>;
 
 }  // namespace
 
@@ -179,6 +221,7 @@ class Runner {
       best_cost_[j] = engine_.BaseCost(j);
       objective_ += w_.query(j).frequency * best_cost_[j];
     }
+    table_touched_.assign(w_.num_tables(), 0);
 
     RankSingles();
     return true;
@@ -196,8 +239,8 @@ class Runner {
   bool EvaluateRound(double budget) {
     has_pending_ = false;
     budget_ = budget;
-    best_ = Move();
-    runner_up_ = Move();
+    best_ = Choice();
+    runner_up_ = Choice();
     if (journal_) ResetRoundLog();
     if (opts_.multi_index_eval) {
       EvaluateNewSinglesMulti(&best_, &runner_up_);
@@ -275,14 +318,15 @@ class Runner {
       ResetRoundLog();
     }
 
-    result_.trace.push_back(pending_);
+    // Both are spent: the next round starts from fresh ones.
+    result_.trace.push_back(std::move(pending_));
     if (runner_up_.valid) {
       ConstructionStep alt;
       alt.kind = runner_up_.kind;
-      alt.after = runner_up_.after;
+      alt.after = std::move(runner_up_.after);
       alt.memory_delta = runner_up_.memory_delta;
       alt.ratio = runner_up_.ratio;
-      result_.runners_up.push_back(alt);
+      result_.runners_up.push_back(std::move(alt));
     }
     if (opts_.prune_unused) PruneUnused(&result_);
     result_.frontier.emplace_back(used_memory_, objective_);
@@ -349,6 +393,9 @@ class Runner {
     flush(metrics.candidate_evals, candidate_evals_,
           &published_.candidate_evals);
     flush(metrics.ratio_ties, ratio_ties_, &published_.ratio_ties);
+    flush(metrics.units_evaluated, units_evaluated_,
+          &published_.units_evaluated);
+    flush(metrics.units_reused, units_reused_, &published_.units_reused);
     flush(metrics.kernel_filtered,
           kernel_filtered_.load(std::memory_order_relaxed),
           &published_.kernel_filtered);
@@ -380,24 +427,21 @@ class Runner {
     round_sanitized_ = 0;
   }
 
-  void LogRejectedMove(Move move, const char* reason) {
+  void LogRejectedMove(const Move& move, const char* reason) {
     if (reason[0] == 's') {
       ++round_sanitized_;
     } else {
       ++round_budget_exceeded_;
     }
     if (round_rejects_.size() < kJournalRejectCap) {
-      round_rejects_.push_back(RejectedMove{std::move(move), reason});
+      round_rejects_.push_back(RejectedMove{move, reason});
     }
   }
 
   /// Canonical label of a move's resulting index; moves that were never
   /// materialized resolve through the (const, stats-free) arena lookup.
   std::string MoveLabel(const Move& move) const {
-    if (move.after.empty()) {
-      return engine_.MaterializeIndex(move.after_id).ToString();
-    }
-    return move.after.ToString();
+    return engine_.MaterializeIndex(move.after_id).ToString();
   }
 
   std::string RoundNote() const {
@@ -427,7 +471,7 @@ class Runner {
     }
   }
 
-  void EmitCommitRecord(const Move& best, const Move& runner_up,
+  void EmitCommitRecord(const Choice& best, const Choice& runner_up,
                         double objective_before, double objective_after) {
     std::vector<std::string> labels;
     labels.reserve(2 + round_rejects_.size());
@@ -630,16 +674,19 @@ class Runner {
     return false;
   }
 
-  /// Strict "a beats b" order on candidate moves: ratio, then the
-  /// deterministic lexicographic tuple tie-break, compared through the
-  /// arena (arena order is Index::operator<: plain lexicographic
-  /// comparison of the attribute tuples).
-  bool MoveBetter(const Move& a, const Move& b) const {
-    if (!ExactlyEqual(a.ratio, b.ratio)) return a.ratio > b.ratio;
-    return engine_.arena().Less(a.after_id, b.after_id);
+  /// Strict "a move of `ratio` resulting in `after_id` beats b" order on
+  /// candidate moves: ratio, then the deterministic lexicographic tuple
+  /// tie-break, compared through the arena (arena order is
+  /// Index::operator<: plain lexicographic comparison of the tuples).
+  bool MoveBetter(double ratio, kernel::IndexId after_id,
+                  const Choice& b) const {
+    if (!ExactlyEqual(ratio, b.ratio)) return ratio > b.ratio;
+    return engine_.arena().Less(after_id, b.after_id);
   }
 
-  void Consider(Move move, Move* best, Move* runner_up) {
+  /// Folds one candidate into best/runner-up; the move is copied only
+  /// when it takes one of those places (or a journal reject slot).
+  void Consider(const Move& move, Choice* best, Choice* runner_up) {
     ++candidate_evals_;
     if (journal_) ++round_evals_;
     if (!(move.benefit > kEps) || !(move.memory_delta > 0.0)) {
@@ -648,7 +695,7 @@ class Runner {
       // else here simply does not improve the objective.
       if (journal_) {
         if (!std::isfinite(move.memory_delta)) {
-          LogRejectedMove(std::move(move), "sanitized-whatif");
+          LogRejectedMove(move, "sanitized-whatif");
         } else {
           ++round_no_benefit_;
         }
@@ -660,66 +707,110 @@ class Runner {
         const char* reason = std::isfinite(move.memory_delta)
                                  ? "budget-exceeded"
                                  : "sanitized-whatif";
-        LogRejectedMove(std::move(move), reason);
+        LogRejectedMove(move, reason);
       }
       return;
     }
-    move.ratio = move.benefit / move.memory_delta;
-    move.valid = true;
+    const double ratio = move.benefit / move.memory_delta;
     // A ratio tie means the deterministic tuple ordering — not the step
     // criterion — decides the move; worth counting because ties make the
     // greedy's choice sensitive to index enumeration order.
-    if (best->valid && ExactlyEqual(move.ratio, best->ratio)) ++ratio_ties_;
-    if (!best->valid || MoveBetter(move, *best)) {
+    if (best->valid && ExactlyEqual(ratio, best->ratio)) ++ratio_ties_;
+    Choice* slot = nullptr;
+    if (!best->valid || MoveBetter(ratio, move.after_id, *best)) {
       if (best->valid) *runner_up = *best;
-      *best = move;
-    } else if (!runner_up->valid || MoveBetter(move, *runner_up)) {
-      *runner_up = move;
+      slot = best;
+    } else if (!runner_up->valid ||
+               MoveBetter(ratio, move.after_id, *runner_up)) {
+      slot = runner_up;
     }
+    if (slot == nullptr) return;
+    static_cast<Move&>(*slot) = move;
+    slot->ratio = ratio;
+    slot->valid = true;
   }
 
-  /// Evaluates `n` independent units of move generation and reduces their
-  /// candidate moves into best/runner-up. `eval(u, out)` must append unit
-  /// u's moves to `out` in the order the serial code would have Considered
-  /// them, must not touch Runner state other than the (read-only during a
-  /// round) bookkeeping and the thread-safe engine, and must not Consider
-  /// itself.
+  /// The table whose queries decide the moves of a unit keyed by `id`.
+  workload::TableId TableOf(kernel::IndexId id) const {
+    return w_.attribute(engine_.arena().leading(id)).table;
+  }
+
+  /// Marks the moves of every unit on `id`'s table stale: a commit only
+  /// changes the cost bookkeeping of that table's queries, because a
+  /// query constrains only attributes of its own table.
+  void TouchTable(kernel::IndexId id) {
+    table_touched_[TableOf(id)] = ++epoch_;
+  }
+
+  /// Marks every unit's moves stale (positions shifted or the whole
+  /// bookkeeping was rebuilt).
+  void TouchAll() { all_touched_ = ++epoch_; }
+
+  /// A unit keyed by `id` needs re-scoring unless it was evaluated after
+  /// the last touch of its table. The index at a selected position only
+  /// changes through a commit on its table (an append), a prune, or the
+  /// repair pass, and each of those touches it, so a clean position still
+  /// holds the index its cached moves were built from.
+  template <typename Moves>
+  bool Dirty(const Unit<Moves>& unit, kernel::IndexId id) const {
+    return unit.stamp == 0 ||
+           unit.stamp < std::max(all_touched_, table_touched_[TableOf(id)]);
+  }
+
+  /// Evaluates the dirty units of one move generator and reduces every
+  /// unit's moves into best/runner-up. Unit u is keyed by `ids[u]` (the
+  /// eligible single's id, or the index at selected position u).
+  /// `eval(u, out)` must push_back unit u's moves to `out` in the order
+  /// they are to be Considered, must read only the round-invariant
+  /// bookkeeping of u's table and the thread-safe engine, and must not
+  /// Consider itself.
   ///
-  /// Serial path (threads == 1): evaluate-then-Consider per unit — the
-  /// same moves in the same order as the historical interleaved code,
-  /// since Consider only folds into best/runner-up, which no evaluation
-  /// reads. Parallel path: all units evaluate concurrently into per-unit
-  /// buffers, then one serial pass Considers them in unit order. Both
-  /// paths therefore Consider the identical move sequence: bit-identical
-  /// selections, FP sums, and telemetry regardless of thread count.
-  template <typename Eval>
-  void EvaluateUnits(size_t n, const Eval& eval, Move* best,
-                     Move* runner_up) {
-    if (n == 0) return;
-    if (!pool_.has_value()) {
-      for (size_t u = 0; u < n; ++u) {
-        if (poller_.Expired()) return;
-        serial_moves_.clear();
-        eval(u, serial_moves_);
-        for (const Move& move : serial_moves_) {
-          Consider(move, best, runner_up);
-        }
-      }
-      return;
-    }
-    // Buffers are members so steady-state rounds reuse their capacity.
-    if (unit_buffers_.size() < n) unit_buffers_.resize(n);
-    for (size_t u = 0; u < n; ++u) unit_buffers_[u].clear();
-    pool_->ParallelFor(n, [&](size_t u) {
-      if (poller_.Expired()) return;
-      eval(u, unit_buffers_[u]);
-    });
-    // A deadline hit mid-evaluation leaves some buffers empty; the main
-    // loop discards the whole round (same contract as the serial early
-    // return), so skip the reduction.
-    if (poller_.expired()) return;
+  /// A clean unit's moves are replayed unchanged: every input of its
+  /// evaluation (the cost bookkeeping of its table's queries, its index,
+  /// the selected-ness of its single) is as it was, and every dense slot,
+  /// size, and maintenance entry it read is still filled, so re-scoring it
+  /// would reproduce the same bits without a backend call. Dirty units are
+  /// evaluated in ascending order when serial, or concurrently on the pool
+  /// (each lane writes only its own unit). Either way one serial pass then
+  /// Considers every unit's moves in unit order — the move sequence of
+  /// evaluating everything afresh — so selections, FP sums, telemetry, and
+  /// backend call order do not depend on the thread count or on which
+  /// units were reused.
+  template <typename Moves, typename Eval>
+  void EvaluateUnits(std::vector<Unit<Moves>>& units,
+                     const std::vector<kernel::IndexId>& ids,
+                     const Eval& eval, Choice* best, Choice* runner_up) {
+    const size_t n = ids.size();
+    // Units past n are kept with their capacity. Only a prune or a
+    // rebuild shrinks the selection, and both touch every table, so such
+    // a unit is dirty again by the time it comes back into range.
+    if (units.size() < n) units.resize(n);
+    dirty_.clear();
     for (size_t u = 0; u < n; ++u) {
-      for (const Move& move : unit_buffers_[u]) {
+      if (Dirty(units[u], ids[u])) dirty_.push_back(u);
+    }
+    const auto evaluate = [&](size_t u) {
+      units[u].moves.clear();
+      eval(u, units[u].moves);
+    };
+    if (!pool_.has_value()) {
+      for (size_t u : dirty_) {
+        if (poller_.Expired()) return;
+        evaluate(u);
+      }
+    } else if (!dirty_.empty()) {
+      pool_->ParallelFor(dirty_.size(), [&](size_t d) {
+        if (!poller_.Expired()) evaluate(dirty_[d]);
+      });
+    }
+    // A deadline hit mid-evaluation leaves units half done; the caller
+    // discards the whole round, and no stamp moves, so they stay dirty.
+    if (poller_.expired()) return;
+    for (size_t u : dirty_) units[u].stamp = epoch_;
+    units_evaluated_ += dirty_.size();
+    units_reused_ += n - dirty_.size();
+    for (size_t u = 0; u < n; ++u) {
+      for (const Move& move : units[u].moves) {
         Consider(move, best, runner_up);
       }
     }
@@ -778,15 +869,20 @@ class Runner {
       eligible_singles_.push_back(ranked[r].second);
     }
     std::sort(eligible_singles_.begin(), eligible_singles_.end());
+    eligible_ids_.clear();
+    eligible_ids_.reserve(keep);
+    for (workload::AttributeId i : eligible_singles_) {
+      eligible_ids_.push_back(single_ids_[i]);
+    }
   }
 
   /// Step (3a): create {i} for every eligible single not yet selected.
   /// Sizes and maintenance come from the dense id-addressed tables; no
   /// Index is materialized unless a reconfiguration model needs one.
-  void EvaluateNewSingles(Move* best, Move* runner_up) {
+  void EvaluateNewSingles(Choice* best, Choice* runner_up) {
     EvaluateUnits(
-        eligible_singles_.size(),
-        [&](size_t u, std::vector<Move>& out) {
+        singles_units_, eligible_ids_,
+        [&](size_t u, AtMostOneMove& out) {
           const workload::AttributeId i = eligible_singles_[u];
           if (SingleSelected(i)) return;  // step (3a): I and {i} disjoint
           const kernel::IndexId id = single_ids_[i];
@@ -816,20 +912,20 @@ class Runner {
   ///      query, cost-without) triples out as a per-candidate CSR,
   ///      ascending slots per candidate;
   ///   3. when every candidate row is warm (the steady state: round r-1
-  ///      filled them), each candidate is costed in one
-  ///      CostWithIndexBatch pass over its dense row and reduced by
-  ///      simd::ReduceAppendBenefit — bit-identical benefits, identical
-  ///      bulk stats, zero backend interaction;
+  ///      filled them), each candidate's peeked costs are reduced by
+  ///      simd::ReduceAppendBenefit and the dense hits are counted in
+  ///      bulk — bit-identical benefits, identical stats, zero backend
+  ///      interaction;
   ///   4. ANY cold slot demotes the whole unit to the query-outer loop,
   ///      so backend calls (and rt::FaultInjectingBackend's PRNG stream)
   ///      keep one fixed query-outer order. Per-candidate fallback would
   ///      regroup calls candidate-by-candidate — that is why the demotion
   ///      is all-or-nothing per unit.
-  void EvaluateAppends(Move* best, Move* runner_up) {
+  void EvaluateAppends(Choice* best, Choice* runner_up) {
     const kernel::IndexArena& arena = engine_.arena();
     const kernel::QueryMasks& qmasks = engine_.query_masks();
     EvaluateUnits(
-        selected_.size(),
+        appends_units_, selected_ids_,
         [&](size_t pos, std::vector<Move>& out) {
           const kernel::IndexId kid = selected_ids_[pos];
           const uint32_t kwidth = arena.width(kid);
@@ -912,8 +1008,9 @@ class Runner {
               }
             }
 
-            // (3) warmth peek — raw reads, no accounting, so a cold
-            // candidate leaves nothing to compensate before the fallback.
+            // (3) warmth peek: one relaxed load per slot into the batch,
+            // no accounting, so a cold candidate leaves nothing to
+            // compensate before the fallback.
             bool all_warm = true;
             for (workload::AttributeId a : scratch.touched) {
               if (!engine_.PeekDenseCostBlock(
@@ -927,20 +1024,17 @@ class Runner {
             }
 
             if (all_warm) {
-              // (3a) batched what-if + vector reduction per candidate.
+              // (3a) vector reduction per candidate over the peeked
+              // costs, then the accounting of every one of those dense
+              // hits in one step.
               for (workload::AttributeId a : scratch.touched) {
                 const uint32_t off = scratch.offset[a];
-                const uint32_t cnt = scratch.count[a];
-                const bool warm = engine_.CostWithIndexBatch(
-                    scratch.ext_id[a], scratch.slot_csr.data() + off, cnt,
-                    scratch.batch.data() + off);
-                // Slots only ever transition unset -> set within a round.
-                IDXSEL_DCHECK(warm);
                 scratch.benefit[a] = kernel::simd::ReduceAppendBenefit(
                     scratch.batch.data() + off, scratch.cw_csr.data() + off,
                     scratch.qid_csr.data() + off, best_cost_.data(),
-                    freq_.data(), cnt);
+                    freq_.data(), scratch.count[a]);
               }
+              engine_.CountDenseHits(total_pairs);
             } else {
               // (3b) whole-unit query-outer, attribute-inner order with
               // per-call dense lookups. The extension
@@ -966,11 +1060,14 @@ class Runner {
           // first-touch order of the size/maintenance caches (hence the
           // backend call sequence) and the ratio-tie telemetry.
           std::sort(scratch.touched.begin(), scratch.touched.end());
+          // One growth at most instead of a doubling series; the unit
+          // keeps the capacity for later rounds.
+          out.reserve(scratch.touched.size());
           for (workload::AttributeId a : scratch.touched) {
             const kernel::IndexId eid = scratch.ext_id[a];
             Move move;
             move.kind = StepKind::kAppend;
-            move.selected_pos = pos;
+            move.selected_pos = static_cast<uint32_t>(pos);
             move.after_id = eid;
             move.benefit = scratch.benefit[a] - ReconfigDelta(kid, eid) -
                            (engine_.MaintenancePenaltyDense(eid) -
@@ -984,7 +1081,7 @@ class Runner {
 
   /// Fills `after` of a move; only the committed move and the traced
   /// runner-up ever pay the materialization.
-  void MaterializeMove(Move* move) {
+  void MaterializeMove(Choice* move) {
     if (move->valid && move->after.empty()) {
       move->after = engine_.MaterializeIndex(move->after_id);
     }
@@ -993,10 +1090,10 @@ class Runner {
   /// Remark 1(4): evaluate two-attribute moves. New pairs are seeded from
   /// the eligible singles; append pairs extend fully-covered indexes by two
   /// co-occurring attributes at once.
-  void EvaluatePairs(Move* best, Move* runner_up) {
+  void EvaluatePairs(Choice* best, Choice* runner_up) {
     // New two-attribute indexes {a, b} for co-occurring (a, b).
     EvaluateUnits(
-        eligible_singles_.size(),
+        new_pairs_units_, eligible_ids_,
         [&](size_t u, std::vector<Move>& out) {
           const workload::AttributeId a = eligible_singles_[u];
           std::unordered_map<workload::AttributeId, double> benefit;
@@ -1022,7 +1119,6 @@ class Runner {
             const Index& k_pair = pair_index.at(b);
             Move move;
             move.kind = StepKind::kNewPair;
-            move.after = k_pair;
             move.after_id = engine_.InternIndex(k_pair);
             move.benefit = benefit.at(b) -
                            ReconfigDelta(kernel::kInvalidIndexId,
@@ -1036,7 +1132,7 @@ class Runner {
     if (poller_.expired()) return;
     // Append pairs k -> k ++ a ++ b.
     EvaluateUnits(
-        selected_.size(),
+        append_pairs_units_, selected_ids_,
         [&](size_t pos, std::vector<Move>& out) {
           const Index& k = selected_[pos];
           if (k.width() + 2 > opts_.max_index_width) return;
@@ -1071,8 +1167,7 @@ class Runner {
             const Index& k_ext = ext.at(key);
             Move move;
             move.kind = StepKind::kAppendPair;
-            move.selected_pos = pos;
-            move.after = k_ext;
+            move.selected_pos = static_cast<uint32_t>(pos);
             move.after_id = engine_.InternIndex(k_ext);
             move.benefit = benefit.at(key) -
                            ReconfigDelta(selected_ids_[pos], move.after_id) -
@@ -1093,11 +1188,11 @@ class Runner {
     return config;
   }
 
-  void EvaluateNewSinglesMulti(Move* best, Move* runner_up) {
+  void EvaluateNewSinglesMulti(Choice* best, Choice* runner_up) {
     const costmodel::IndexConfig current = CurrentConfig();
     EvaluateUnits(
-        eligible_singles_.size(),
-        [&](size_t u, std::vector<Move>& out) {
+        singles_units_, eligible_ids_,
+        [&](size_t u, AtMostOneMove& out) {
           const workload::AttributeId i = eligible_singles_[u];
           if (SingleSelected(i)) return;
           const Index k(i);
@@ -1111,7 +1206,6 @@ class Runner {
           }
           Move move;
           move.kind = StepKind::kNewSingle;
-          move.after = k;
           move.after_id = single_ids_[i];
           move.benefit = benefit -
                          ReconfigDelta(kernel::kInvalidIndexId, move.after_id) -
@@ -1122,10 +1216,10 @@ class Runner {
         best, runner_up);
   }
 
-  void EvaluateAppendsMulti(Move* best, Move* runner_up) {
+  void EvaluateAppendsMulti(Choice* best, Choice* runner_up) {
     const costmodel::IndexConfig current = CurrentConfig();
     EvaluateUnits(
-        selected_.size(),
+        appends_units_, selected_ids_,
         [&](size_t pos, std::vector<Move>& out) {
           const Index& k = selected_[pos];
           if (k.width() >= opts_.max_index_width) return;
@@ -1164,8 +1258,7 @@ class Runner {
             }
             Move move;
             move.kind = StepKind::kAppend;
-            move.selected_pos = pos;
-            move.after = k_ext;
+            move.selected_pos = static_cast<uint32_t>(pos);
             move.after_id = engine_.arena().InternAppend(selected_ids_[pos], a);
             move.benefit = benefit -
                            ReconfigDelta(selected_ids_[pos], move.after_id) -
@@ -1178,7 +1271,7 @@ class Runner {
         best, runner_up);
   }
 
-  void CommitMulti(const Move& move) {
+  void CommitMulti(const Choice& move) {
     replaced_ = Index();
     objective_ += engine_.MaintenancePenalty(move.after);
     if (move.kind == StepKind::kAppend || move.kind == StepKind::kAppendPair) {
@@ -1201,6 +1294,7 @@ class Runner {
       objective_ += w_.query(j).frequency * (cost - best_cost_[j]);
       best_cost_[j] = cost;
     }
+    TouchTable(move.after_id);
   }
 
   // -- Committing ------------------------------------------------------------
@@ -1212,7 +1306,7 @@ class Runner {
   /// f_j(k_new) == f_j(k_old), the cost-model invariant), then lets the
   /// morphed index inherit the replaced index's dense cost row (delta
   /// costing — only re-estimated slots were written before this).
-  void Commit(const Move& move) {
+  void Commit(const Choice& move) {
     const kernel::IndexArena& arena = engine_.arena();
     const kernel::QueryMasks& qmasks = engine_.query_masks();
     IDXSEL_DCHECK(move.after_id != kernel::kInvalidIndexId);
@@ -1280,6 +1374,7 @@ class Runner {
       engine_.InheritCostRow(replaced_id, move.after_id);
     }
     used_memory_ += move.memory_delta;
+    TouchTable(move.after_id);
   }
 
   /// WhatIfEngine::Applicable on ids: a clear leading bit is a definitive
@@ -1322,6 +1417,7 @@ class Runner {
 
   /// Rebuilds every per-query and objective bookkeeping from selected_.
   void RebuildState() {
+    TouchAll();
     objective_ = 0.0;
     used_memory_ = 0.0;
     for (workload::QueryId j = 0; j < w_.num_queries(); ++j) {
@@ -1459,6 +1555,7 @@ class Runner {
     }
     if (any_dropped) {
       // Positions shifted: rebuild the per-query owner bookkeeping.
+      TouchAll();
       for (workload::QueryId j = 0; j < w_.num_queries(); ++j) {
         RecomputeQuery(j);
       }
@@ -1485,8 +1582,8 @@ class Runner {
   uint64_t calls_before_ = 0;
 
   // The evaluated round: winner, runner-up, and the step it would commit.
-  Move best_;
-  Move runner_up_;
+  Choice best_;
+  Choice runner_up_;
   ConstructionStep pending_;
   bool has_pending_ = false;
   /// Trace, runners-up, and frontier of the committed rounds.
@@ -1507,10 +1604,24 @@ class Runner {
   /// (workload::Query::frequency sits inside an AoS Query record).
   std::vector<double> freq_;
   std::vector<workload::QueryId> affected_scratch_;
-  // Move buffers of EvaluateUnits, members so steady-state rounds reuse
-  // their capacity instead of reallocating per round.
-  std::vector<Move> serial_moves_;
-  std::vector<std::vector<Move>> unit_buffers_;
+  /// Per eligible single: the id of {i} (the key of its units).
+  std::vector<kernel::IndexId> eligible_ids_;
+  // Unit caches of the move generators. The one-index and the Remark-2
+  // generators never run in the same selector, so they share the singles
+  // and appends caches.
+  std::vector<SingleUnit> singles_units_;
+  std::vector<MultiUnit> appends_units_;
+  std::vector<MultiUnit> new_pairs_units_;
+  std::vector<MultiUnit> append_pairs_units_;
+  // Dirty-set bookkeeping: a global epoch, the epoch of each table's last
+  // touch, and of the last touch of every table. Units record the epoch
+  // they were evaluated at.
+  uint64_t epoch_ = 1;
+  uint64_t all_touched_ = 1;
+  std::vector<uint64_t> table_touched_;
+  // EvaluateUnits scratch, a member so steady-state rounds reuse its
+  // capacity instead of reallocating per round.
+  std::vector<size_t> dirty_;
   std::vector<kernel::IndexId> selected_ids_;  ///< Parallel to selected_.
   std::vector<kernel::IndexId> single_ids_;    ///< Per attribute: id of {i}.
   /// Mask-filtered query count; atomic because parallel evaluation units
@@ -1539,6 +1650,8 @@ class Runner {
   uint64_t swap_steps_ = 0;
   uint64_t candidate_evals_ = 0;
   uint64_t ratio_ties_ = 0;
+  uint64_t units_evaluated_ = 0;
+  uint64_t units_reused_ = 0;
   /// The values already added to the registry.
   struct {
     uint64_t runs = 0;
@@ -1549,6 +1662,8 @@ class Runner {
     uint64_t steps_swap = 0;
     uint64_t candidate_evals = 0;
     uint64_t ratio_ties = 0;
+    uint64_t units_evaluated = 0;
+    uint64_t units_reused = 0;
     uint64_t kernel_filtered = 0;
   } published_;
 };

@@ -5,8 +5,6 @@
 #include <limits>
 #include <string>
 
-#include "kernel/simd.h"
-
 namespace idxsel::costmodel {
 namespace {
 
@@ -294,32 +292,20 @@ bool WhatIfEngine::PeekDenseCostBlock(kernel::IndexId id,
   if (n == 0) return true;
   const kernel::DenseCostTable::RowView row = dense_->costs.ViewRow(id);
   if (row.values == nullptr) return false;
-#ifndef NDEBUG
-  for (size_t t = 0; t < n; ++t) IDXSEL_DCHECK(slots[t] < row.len);
-#endif
-  return kernel::simd::GatherRowWarm(kernel::RawValues(row.values), slots, n,
-                                     out);
+  for (size_t t = 0; t < n; ++t) {
+    IDXSEL_DCHECK(slots[t] < row.len);
+    const double v = row.values[slots[t]].load(std::memory_order_relaxed);
+    if (std::isnan(v)) return false;
+    out[t] = v;
+  }
+  return true;
 }
 
-bool WhatIfEngine::CostWithIndexBatch(kernel::IndexId id,
-                                      const uint32_t* slots, size_t n,
-                                      double* out) {
-  if (n == 0) return true;
-  const kernel::DenseCostTable::RowView row = dense_->costs.ViewRow(id);
-  if (row.values == nullptr) return false;
-#ifndef NDEBUG
-  for (size_t t = 0; t < n; ++t) IDXSEL_DCHECK(slots[t] < row.len);
-#endif
-  if (!kernel::simd::GatherRowWarm(kernel::RawValues(row.values), slots, n,
-                                   out)) {
-    return false;
-  }
-  // Bulk equivalent of n dense hits in CostWithIndexDense: same counter
-  // totals (the canonical keyed-cache entries provably exist for every
-  // set slot — see the hit comment there), one fetch_add instead of n.
+void WhatIfEngine::CountDenseHits(uint64_t n) {
+  // A set dense slot implies the canonical keyed-cache entry exists (see
+  // the hit comment in CostWithIndexDense), so these are cache hits.
   stats_.cache_hits.fetch_add(n, std::memory_order_relaxed);
   IDXSEL_OBS_ONLY(obs_hits_->Add(n); obs_kernel_fast_->Add(n);)
-  return true;
 }
 
 double WhatIfEngine::CostWithIndexDenseSlow(QueryId j, kernel::IndexId id) {

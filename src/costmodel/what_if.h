@@ -287,11 +287,14 @@ class WhatIfEngine {
     return dense_->memory.Get(id);
   }
 
-  /// Batched PeekDenseCost: gathers id's row at `slots[0..n)` into `out`
-  /// and reports whether every addressed slot is set. No stats, no
-  /// fallback, no fill — the warmth probe of the batched evaluation (a
-  /// cold probe must leave nothing to compensate before the caller
-  /// demotes to the per-call path) and the audit layer's bulk reader.
+  /// Batched PeekDenseCost: reads id's row at `slots[0..n)` into `out`,
+  /// one relaxed atomic load per slot, and reports whether every
+  /// addressed slot is set (stopping at the first unset one; `out` is
+  /// then partly written). No stats, no fallback, no fill: a cold probe
+  /// leaves nothing to compensate before the caller demotes to the
+  /// per-call path, and a warm one is accounted with CountDenseHits. The
+  /// loads are atomic because another strategy sharing this engine (a
+  /// portfolio lane) may be filling the same row concurrently.
   bool PeekDenseCostBlock(kernel::IndexId id, const uint32_t* slots, size_t n,
                           double* out) const;
 
@@ -319,22 +322,10 @@ class WhatIfEngine {
   /// resolves it with a binary search over the posting list.
   double CostWithIndexDenseSlow(QueryId j, kernel::IndexId id);
 
-  /// Batched what-if evaluation: one candidate id against a whole query
-  /// block in a single pass over its dense row. `slots[0..n)` are posting
-  /// slots of the id's leading attribute; on success `out[t]` receives
-  /// exactly the value CostWithIndexDense(posting[slots[t]], id, slots[t])
-  /// would have returned, and the same accounting (n cache hits, n
-  /// fast-path hits) is applied in bulk.
-  ///
-  /// All-or-nothing: if ANY addressed slot is still unset (or the row does
-  /// not exist), returns false having consumed NOTHING — no stats, no
-  /// backend calls, no fills. The caller then falls back to the per-call
-  /// API, whose backend call order is the one the bit-identity contract
-  /// (and rt::FaultInjectingBackend's PRNG stream) depends on. A warm
-  /// block has no backend interaction at all, which is why batching it
-  /// cannot perturb call order.
-  bool CostWithIndexBatch(kernel::IndexId id, const uint32_t* slots, size_t n,
-                          double* out);
+  /// Accounts `n` warm PeekDenseCostBlock reads as the dense hits they
+  /// replace: the same counter totals as `n` CostWithIndexDense hits
+  /// (cache hits and fast-path hits), added in one step.
+  void CountDenseHits(uint64_t n);
 
   /// p_k / frequency-weighted maintenance addressed by dense id.
   double IndexMemoryDense(kernel::IndexId id);

@@ -360,22 +360,6 @@ class DenseCostTable {
   std::vector<std::unique_ptr<Row>> rows_ IDXSEL_GUARDED_BY(mu_);  // ownership
 };
 
-/// Reinterprets a dense row's atomic storage as a plain double stream for
-/// the simd layer's vector loads/gathers. Sound under the kernel's
-/// publication discipline: row slots are relaxed atomics only so that
-/// racing writers of the *same* deterministic value never conflict; every
-/// bulk read happens strictly after the slots it touches were published
-/// (same thread, or through the exec::ThreadPool barriers), and
-/// std::atomic<double> is lock-free and layout-identical to double on
-/// every supported target (checked below).
-inline const double* RawValues(const std::atomic<double>* values) {
-  static_assert(sizeof(std::atomic<double>) == sizeof(double),
-                "dense rows must be plain doubles under the hood");
-  static_assert(std::atomic<double>::is_always_lock_free,
-                "dense rows must be lock-free for bulk reads");
-  return reinterpret_cast<const double*>(values);
-}
-
 }  // namespace idxsel::kernel
 
 #endif  // IDXSEL_KERNEL_KERNEL_H_

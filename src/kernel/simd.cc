@@ -27,8 +27,6 @@ double SumSetSlots(const double* row, size_t n);
 double MinSetSlots(const double* row, size_t n);
 size_t FilterMasks(const uint64_t* masks, size_t n, uint64_t required,
                    uint32_t* out);
-bool GatherRowWarm(const double* row, const uint32_t* slots, size_t n,
-                   double* out);
 }  // namespace avx2_impl
 #endif
 
@@ -110,16 +108,6 @@ size_t FilterMasks(const uint64_t* masks, size_t n, uint64_t required,
   }
 #endif
   return scalar_impl::FilterMasks(masks, n, required, out);
-}
-
-bool GatherRowWarm(const double* row, const uint32_t* slots, size_t n,
-                   double* out) {
-#if defined(IDXSEL_SIMD_HAVE_AVX2)
-  if (ActiveLevel() == Level::kAvx2) {
-    return avx2_impl::GatherRowWarm(row, slots, n, out);
-  }
-#endif
-  return scalar_impl::GatherRowWarm(row, slots, n, out);
 }
 
 }  // namespace idxsel::kernel::simd

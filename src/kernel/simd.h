@@ -126,8 +126,8 @@ double ReduceBenefitIndexed(const double* costs, const uint32_t* qids,
 ///   for (t = 0; t < n; ++t)
 ///     acc += freq[qids[t]] * (best[qids[t]] - min(cw[t], costs[t]));
 ///
-/// `costs` are the candidate's dense-row values (gathered warm by
-/// WhatIfEngine::CostWithIndexBatch), `cw` the per-query cost without the
+/// `costs` are the candidate's dense-row values (read warm by
+/// WhatIfEngine::PeekDenseCostBlock), `cw` the per-query cost without the
 /// replaced index, both packed in block order.
 double ReduceAppendBenefit(const double* costs, const double* cw,
                            const uint32_t* qids, const double* best,
@@ -156,15 +156,6 @@ double MinSetSlots(const double* row, size_t n);
 /// returns the kept count.
 size_t FilterMasks(const uint64_t* masks, size_t n, uint64_t required,
                    uint32_t* out);
-
-// -- Dense-row gathers ------------------------------------------------------
-
-/// Gathers row[slots[t]] into out[t] for t in [0, n). Returns true iff
-/// every gathered value is set (non-NaN); on false, `out` contents are
-/// unspecified and nothing else happened — the caller falls back to the
-/// one-at-a-time path that preserves exact backend call order.
-bool GatherRowWarm(const double* row, const uint32_t* slots, size_t n,
-                   double* out);
 
 }  // namespace idxsel::kernel::simd
 

@@ -63,10 +63,6 @@ struct Vec {
     const __m256d unord = _mm256_cmp_pd(x.v, x.v, _CMP_UNORD_Q);
     return {_mm256_blendv_pd(x.v, fill.v, unord)};
   }
-  static bool AnyNaN(Vec x) {
-    return _mm256_movemask_pd(_mm256_cmp_pd(x.v, x.v, _CMP_UNORD_Q)) != 0;
-  }
-  static void Store(double* p, Vec x) { _mm256_storeu_pd(p, x.v); }
   /// In-order horizontal fold: acc + lane0 + lane1 + lane2 + lane3, each
   /// add a separate rounding step — the exact serial-loop order.
   static double FoldAdd(double acc, Vec x) {
@@ -153,14 +149,6 @@ struct Vec {
       r.v[t] = std::isnan(x.v[t]) ? fill.v[t] : x.v[t];
     }
     return r;
-  }
-  static bool AnyNaN(Vec x) {
-    bool any = false;
-    for (size_t t = 0; t < kLanes; ++t) any = any || std::isnan(x.v[t]);
-    return any;
-  }
-  static void Store(double* p, Vec x) {
-    for (size_t t = 0; t < kLanes; ++t) p[t] = x.v[t];
   }
   static double FoldAdd(double acc, Vec x) {
     for (size_t t = 0; t < kLanes; ++t) acc += x.v[t];
@@ -278,23 +266,6 @@ size_t FilterMasks(const uint64_t* masks, size_t n, uint64_t required,
     count += (required & ~masks[t]) == 0 ? 1u : 0u;
   }
   return count;
-}
-
-bool GatherRowWarm(const double* row, const uint32_t* slots, size_t n,
-                   double* out) {
-  const size_t blocks = n / kLanes;
-  for (size_t b = 0; b < blocks; ++b) {
-    const size_t t = b * kLanes;
-    const Vec v = Vec::Gather(row, slots + t);
-    if (Vec::AnyNaN(v)) return false;
-    Vec::Store(out + t, v);
-  }
-  for (size_t t = blocks * kLanes; t < n; ++t) {
-    const double v = row[slots[t]];
-    if (std::isnan(v)) return false;
-    out[t] = v;
-  }
-  return true;
 }
 
 }  // namespace IDXSEL_SIMD_IMPL_NAMESPACE

@@ -13,6 +13,7 @@
 #include "core/recursive_selector.h"
 #include "costmodel/cost_model.h"
 #include "obs/journal.h"
+#include "obs/obs.h"
 #include "workload/erp_generator.h"
 #include "workload/scalable_generator.h"
 #include "workload/tpcc.h"
@@ -590,6 +591,45 @@ TEST(RecursiveSessionTest, SmallerBudgetProposesTheNextStepOfAFreshRun) {
     ExpectSameRun(ref, std::move(session).Finish(), erp ? "erp" : "example1");
   }
 }
+
+#if defined(IDXSEL_OBS)
+TEST(RecursiveSessionTest, ReproposalReplaysCachedMovesWithoutReScoring) {
+  // Budget feasibility is a Consider-time filter, so proposing the same
+  // round again (the sharded arbiter re-proposes at a shard's marginal
+  // budget) finds every evaluation unit clean: nothing is re-scored and
+  // no backend call is made. A commit then re-scores only the units of
+  // the committed index's table; the other 29 tables' units replay.
+  const SessionEnv env(/*erp=*/true, 17);
+  RecursiveOptions options;
+  options.budget = env.model->Budget(0.3);
+  std::unique_ptr<WhatIfEngine> engine = env.Engine();
+  obs::Registry& registry = obs::Registry::Default();
+  obs::Counter* evaluated =
+      registry.GetCounter("idxsel.selector.units_evaluated");
+  obs::Counter* reused = registry.GetCounter("idxsel.selector.units_reused");
+  RecursiveSession session(*engine, options);
+  for (int k = 0; k < 4; ++k) {
+    const uint64_t evaluated_before = evaluated->Value();
+    const uint64_t reused_before = reused->Value();
+    ASSERT_NE(session.Propose(options.budget), nullptr) << k;
+    const uint64_t round_evaluated = evaluated->Value() - evaluated_before;
+    EXPECT_GT(round_evaluated, 0u) << k;
+    if (k > 0) {
+      EXPECT_GT(reused->Value() - reused_before, round_evaluated) << k;
+    }
+
+    const uint64_t calls = engine->stats().calls;
+    const uint64_t evaluated_mid = evaluated->Value();
+    const ConstructionStep* again = session.Propose(0.5 * options.budget);
+    const ConstructionStep* same = session.Propose(options.budget);
+    EXPECT_EQ(evaluated->Value(), evaluated_mid) << k;
+    EXPECT_EQ(engine->stats().calls, calls) << k;
+    (void)again;
+    ASSERT_NE(same, nullptr) << k;
+    session.Accept();
+  }
+}
+#endif
 
 TEST(RecursiveSessionTest, DeadlineMidSessionYieldsNoProposal) {
   const SessionEnv env(/*erp=*/true, 5);

@@ -447,6 +447,15 @@ TEST_F(ObsAdvisorTest, RecommendProducesSchemaValidReport) {
   EXPECT_GT(report.metrics.counters.count("idxsel.selector.rounds"), 0u);
   EXPECT_GT(
       report.metrics.counters.count("idxsel.selector.candidate_evals"), 0u);
+  // Dirty-set evaluation: each round re-scores the units of the table the
+  // last step changed and replays the other table's.
+  ASSERT_EQ(report.metrics.counters.count("idxsel.selector.units_evaluated"),
+            1u);
+  EXPECT_GT(report.metrics.counters.at("idxsel.selector.units_evaluated"),
+            0u);
+  ASSERT_EQ(report.metrics.counters.count("idxsel.selector.units_reused"),
+            1u);
+  EXPECT_GT(report.metrics.counters.at("idxsel.selector.units_reused"), 0u);
   // Per-strategy wall time (runs counter + latency histogram).
   ASSERT_EQ(report.metrics.counters.count("idxsel.strategy.h6.runs"), 1u);
   ASSERT_EQ(report.metrics.histograms.count("idxsel.strategy.h6.wall_ns"),

@@ -22,9 +22,9 @@
 // deltas bit for bit.
 //
 // Supported options: budget, max_steps, n_best_singles, max_index_width,
-// min_ratio, existing + reconfiguration. Pair steps, pruning, swap repair,
-// and Remark-2 evaluation are not modelled; threads and deadlines do not
-// apply.
+// min_ratio, prune_unused (Remark 1(2)), existing + reconfiguration. Pair
+// steps, swap repair, and Remark-2 evaluation are not modelled; threads
+// and deadlines do not apply.
 
 #ifndef IDXSEL_TESTS_REFERENCE_H6_H_
 #define IDXSEL_TESTS_REFERENCE_H6_H_
@@ -48,8 +48,8 @@ using costmodel::Index;
 using costmodel::WhatIfEngine;
 
 struct ReferenceResult {
-  /// Committed steps: kind, before, after, memory_delta, ratio (objective
-  /// fields are left at 0).
+  /// Committed steps, prunes included: kind, before, after, memory_delta,
+  /// ratio (objective fields are left at 0).
   std::vector<ConstructionStep> trace;
   costmodel::IndexConfig selection;
 };
@@ -73,6 +73,28 @@ inline double QueryCost(WhatIfEngine& engine, workload::QueryId j,
   }
   if (!added.empty()) cost = std::min(cost, engine.CostWithIndex(j, added));
   return cost;
+}
+
+/// Remark 1(2): the positions of `selection` that are no query's index.
+/// A query uses the first index in selection order that is strictly
+/// cheaper than f_j(0) and every index before it.
+inline std::vector<bool> UnusedPositions(WhatIfEngine& engine,
+                                         const std::vector<Index>& selection) {
+  const workload::Workload& w = engine.workload();
+  std::vector<bool> unused(selection.size(), true);
+  for (workload::QueryId j = 0; j < w.num_queries(); ++j) {
+    double cost = engine.BaseCost(j);
+    size_t owner = kNone;
+    for (size_t p = 0; p < selection.size(); ++p) {
+      const double c = engine.CostWithIndex(j, selection[p]);
+      if (c < cost) {
+        cost = c;
+        owner = p;
+      }
+    }
+    if (owner != kNone) unused[owner] = false;
+  }
+  return unused;
 }
 
 /// F-reduction of the hypothetical selection against `cur`.
@@ -121,8 +143,8 @@ inline ReferenceResult SelectRecursiveReference(WhatIfEngine& engine,
                                                 const RecursiveOptions& opts) {
   using internal::kEps;
   using internal::kNone;
-  IDXSEL_CHECK(!opts.pair_steps && !opts.prune_unused &&
-               !opts.multi_index_eval && !opts.swap_repair);
+  IDXSEL_CHECK(!opts.pair_steps && !opts.multi_index_eval &&
+               !opts.swap_repair);
   const workload::Workload& w = engine.workload();
   std::vector<Index> selection;
   std::vector<double> cur(w.num_queries());
@@ -224,6 +246,21 @@ inline ReferenceResult SelectRecursiveReference(WhatIfEngine& engine,
     }
     used_memory += best.memory_delta;
     result.trace.push_back(best);
+
+    // Remark 1(2): drop every index no query uses, last position first.
+    if (!opts.prune_unused) continue;
+    const std::vector<bool> unused =
+        internal::UnusedPositions(engine, selection);
+    for (size_t p = selection.size(); p-- > 0;) {
+      if (!unused[p]) continue;
+      ConstructionStep prune;
+      prune.kind = StepKind::kPrune;
+      prune.before = selection[p];
+      prune.memory_delta = -engine.IndexMemory(selection[p]);
+      used_memory += prune.memory_delta;
+      result.trace.push_back(prune);
+      selection.erase(selection.begin() + static_cast<std::ptrdiff_t>(p));
+    }
   }
   for (const Index& k : selection) result.selection.Insert(k);
   return result;

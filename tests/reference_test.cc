@@ -8,10 +8,13 @@
 // attribute masks are lossy), at three budgets and threads {1, 4}, with
 // one option variant per seed: plain, n_best_singles, max_index_width, or
 // reconfiguration against an existing selection with a non-zero drop cost.
-// The suite runs unchanged under IDXSEL_FORCE_SCALAR=1.
+// A second set of instances, chosen because their runs prune, repeats the
+// comparison with Remark 1(2) pruning on. The suite runs unchanged under
+// IDXSEL_FORCE_SCALAR=1.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <limits>
@@ -59,12 +62,48 @@ workload::Workload MakeWorkload(Shape shape, uint64_t seed) {
 
 uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
 
-class ReferenceH6Test
-    : public ::testing::TestWithParam<std::tuple<Shape, uint64_t>> {};
+/// Runs SelectRecursive and the reference on fresh engines over `backend`
+/// and compares them step by step; returns the reference's prune steps.
+size_t ExpectMatchesReference(const workload::Workload& w,
+                              costmodel::WhatIfBackend* backend,
+                              const RecursiveOptions& options,
+                              const std::string& label) {
+  WhatIfEngine engine(&w, backend);
+  const RecursiveResult got = core::SelectRecursive(engine, options);
+  WhatIfEngine reference_engine(&w, backend);
+  const reference::ReferenceResult want =
+      reference::SelectRecursiveReference(reference_engine, options);
 
-TEST_P(ReferenceH6Test, MatchesSelectRecursiveBitForBit) {
-  const Shape shape = std::get<0>(GetParam());
-  const uint64_t seed = std::get<1>(GetParam());
+  EXPECT_TRUE(got.status.ok()) << label;
+  EXPECT_TRUE(got.selection == want.selection)
+      << label << ": got " << got.selection.ToString() << ", want "
+      << want.selection.ToString();
+  EXPECT_EQ(got.trace.size(), want.trace.size()) << label;
+  size_t prunes = 0;
+  for (size_t s = 0; s < std::min(got.trace.size(), want.trace.size());
+       ++s) {
+    const std::string at = label + " step " + std::to_string(s);
+    EXPECT_EQ(got.trace[s].kind, want.trace[s].kind) << at;
+    EXPECT_TRUE(got.trace[s].before == want.trace[s].before)
+        << at << ": got " << got.trace[s].before.ToString() << ", want "
+        << want.trace[s].before.ToString();
+    EXPECT_TRUE(got.trace[s].after == want.trace[s].after)
+        << at << ": got " << got.trace[s].after.ToString() << ", want "
+        << want.trace[s].after.ToString();
+    EXPECT_EQ(Bits(got.trace[s].ratio), Bits(want.trace[s].ratio))
+        << at << ": got " << got.trace[s].ratio << ", want "
+        << want.trace[s].ratio;
+    EXPECT_EQ(Bits(got.trace[s].memory_delta),
+              Bits(want.trace[s].memory_delta))
+        << at;
+    if (want.trace[s].kind == core::StepKind::kPrune) ++prunes;
+  }
+  return prunes;
+}
+
+/// The seed's option variant at three budgets and threads {1, 4}, with
+/// or without Remark 1(2) pruning; returns the reference's prune steps.
+size_t MatchAcrossBudgetsAndThreads(Shape shape, uint64_t seed, bool prune) {
   const workload::Workload w = MakeWorkload(shape, seed);
   const CostModel model(&w);
   ModelBackend backend(&model);
@@ -83,12 +122,20 @@ TEST_P(ReferenceH6Test, MatchesSelectRecursiveBitForBit) {
       0.05 * setup_engine.WorkloadCost(costmodel::IndexConfig{});
   const costmodel::ReconfigurationModel reconfig(&setup_engine, rparams);
 
+  size_t prunes = 0;
   for (const double budget_w : {0.05, 0.2, 0.5}) {
     for (const size_t threads : {1u, 4u}) {
       RecursiveOptions options;
       options.budget = model.Budget(budget_w);
       options.threads = threads;
-      switch (variant) {
+      options.prune_unused = prune;
+      // Remark 1(2) and eq. (3) together livelock both selectors: a
+      // create move of an existing index gains the saved drop cost even
+      // when no query would use it, so the next prune drops it again.
+      const Variant run_variant =
+          prune && variant == Variant::kReconfiguration ? Variant::kPlain
+                                                        : variant;
+      switch (run_variant) {
         case Variant::kPlain:
           break;
         case Variant::kNBestSingles:
@@ -105,36 +152,29 @@ TEST_P(ReferenceH6Test, MatchesSelectRecursiveBitForBit) {
       const std::string label =
           std::string(shape == Shape::kScalable ? "scalable" : "erp") +
           " seed=" + std::to_string(seed) +
-          " variant=" + std::to_string(static_cast<int>(variant)) +
+          " variant=" + std::to_string(static_cast<int>(run_variant)) +
           " w=" + std::to_string(budget_w) +
-          " threads=" + std::to_string(threads);
-
-      WhatIfEngine engine(&w, &backend);
-      const RecursiveResult got = core::SelectRecursive(engine, options);
-      WhatIfEngine reference_engine(&w, &backend);
-      const reference::ReferenceResult want =
-          reference::SelectRecursiveReference(reference_engine, options);
-
-      ASSERT_TRUE(got.status.ok()) << label;
-      EXPECT_TRUE(got.selection == want.selection)
-          << label << ": got " << got.selection.ToString() << ", want "
-          << want.selection.ToString();
-      ASSERT_EQ(got.trace.size(), want.trace.size()) << label;
-      for (size_t s = 0; s < want.trace.size(); ++s) {
-        const std::string at = label + " step " + std::to_string(s);
-        EXPECT_EQ(got.trace[s].kind, want.trace[s].kind) << at;
-        EXPECT_TRUE(got.trace[s].after == want.trace[s].after)
-            << at << ": got " << got.trace[s].after.ToString() << ", want "
-            << want.trace[s].after.ToString();
-        EXPECT_EQ(Bits(got.trace[s].ratio), Bits(want.trace[s].ratio))
-            << at << ": got " << got.trace[s].ratio << ", want "
-            << want.trace[s].ratio;
-        EXPECT_EQ(Bits(got.trace[s].memory_delta),
-                  Bits(want.trace[s].memory_delta))
-            << at;
-      }
+          " threads=" + std::to_string(threads) + (prune ? " prune" : "");
+      prunes += ExpectMatchesReference(w, &backend, options, label);
     }
   }
+  return prunes;
+}
+
+class ReferenceH6Test
+    : public ::testing::TestWithParam<std::tuple<Shape, uint64_t>> {};
+
+std::string InstanceName(
+    const ::testing::TestParamInfo<std::tuple<Shape, uint64_t>>& info) {
+  return std::string(std::get<0>(info.param) == Shape::kScalable
+                         ? "Scalable"
+                         : "Erp") +
+         "Seed" + std::to_string(std::get<1>(info.param));
+}
+
+TEST_P(ReferenceH6Test, MatchesSelectRecursiveBitForBit) {
+  MatchAcrossBudgetsAndThreads(std::get<0>(GetParam()),
+                               std::get<1>(GetParam()), /*prune=*/false);
 }
 
 // 2 shapes x 8 seeds x 3 budgets x 2 thread counts = 96 instances.
@@ -142,13 +182,32 @@ INSTANTIATE_TEST_SUITE_P(
     Instances, ReferenceH6Test,
     ::testing::Combine(::testing::Values(Shape::kScalable, Shape::kErp),
                        ::testing::Range<uint64_t>(1, 9)),
-    [](const ::testing::TestParamInfo<std::tuple<Shape, uint64_t>>&
-           param_info) {
-      return std::string(std::get<0>(param_info.param) == Shape::kScalable
-                             ? "Scalable"
-                             : "Erp") +
-             "Seed" + std::to_string(std::get<1>(param_info.param));
-    });
+    InstanceName);
+
+class ReferenceH6PruneTest
+    : public ::testing::TestWithParam<std::tuple<Shape, uint64_t>> {};
+
+TEST_P(ReferenceH6PruneTest, MatchesSelectRecursiveWithPruning) {
+  // Remark 1(2) drops indexes mid-run, which shifts every later position
+  // and rebuilds every query's bookkeeping: the one commit path that
+  // stales the cached moves of every table at once. The instances are
+  // ones whose runs do prune.
+  const size_t prunes = MatchAcrossBudgetsAndThreads(
+      std::get<0>(GetParam()), std::get<1>(GetParam()), /*prune=*/true);
+  EXPECT_GT(prunes, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PruningInstances, ReferenceH6PruneTest,
+    ::testing::Values(std::make_tuple(Shape::kScalable, uint64_t{3}),
+                      std::make_tuple(Shape::kScalable, uint64_t{16}),
+                      std::make_tuple(Shape::kScalable, uint64_t{20}),
+                      std::make_tuple(Shape::kScalable, uint64_t{22}),
+                      std::make_tuple(Shape::kErp, uint64_t{4}),
+                      std::make_tuple(Shape::kErp, uint64_t{6}),
+                      std::make_tuple(Shape::kErp, uint64_t{7}),
+                      std::make_tuple(Shape::kErp, uint64_t{8})),
+    InstanceName);
 
 // ------------------------------------------------------ garbage backends
 

@@ -466,6 +466,19 @@ TrajectoryCheckResult CheckTrajectory(const JsonValue& current,
     result.text += "  ok   " + line + "\n";
   };
 
+  // Quick and full runs walk different ladders; comparing across modes
+  // would only report every point as missing. Documents written before
+  // the field existed are quick-mode.
+  const std::string current_mode = current.StringOr("mode", "quick");
+  const std::string baseline_mode = baseline.StringOr("mode", "quick");
+  if (current_mode != baseline_mode) {
+    fail("mode: current run is " + current_mode + "-mode, baseline is " +
+         baseline_mode + "-mode; gate against a " + current_mode +
+         "-mode baseline");
+    result.text = "trajectory check FAILED\n" + result.text;
+    return result;
+  }
+
   const JsonValue* current_points = current.Find("points");
   const JsonValue* baseline_points = baseline.Find("points");
   if (current_points == nullptr || baseline_points == nullptr) {
